@@ -70,9 +70,11 @@ daemon-smoke:
 
 # cover is the ratcheted coverage gate for the fabric-critical packages
 # (the switch, the bridge/link layer it extends, the event core under
-# them, and the snapshot envelope). Floors only move up: raise them
-# when coverage rises, never lower them to make a change pass. Current
-# measured coverage is a few points above each floor.
+# them, and the snapshot envelope), the campaign service, and the
+# physical page table every DMA check goes through. Floors only move
+# up: raise them when coverage rises, never lower them to make a change
+# pass. Current measured coverage is at or a few points above each
+# floor.
 cover:
 	@set -e; \
 	check() { \
@@ -87,7 +89,8 @@ cover:
 	check ./internal/sim/ 92; \
 	check ./internal/snap/ 90; \
 	check ./internal/store/ 80; \
-	check ./internal/daemon/ 72
+	check ./internal/daemon/ 72; \
+	check ./internal/mem/ 92
 
 # tables regenerates the paper's tables with short windows.
 tables:

@@ -69,6 +69,25 @@ func TestBuildCDNAContextLimit(t *testing.T) {
 	}
 }
 
+// TestValidateCapsGuests: every configuration, single-host or not,
+// is limited to 255 guests, before any page is allocated for them.
+func TestValidateCapsGuests(t *testing.T) {
+	for _, hosts := range []int{0, 2} {
+		cfg := DefaultConfig(ModeXen, NICIntel, Tx)
+		if hosts > 1 {
+			cfg.Hosts, cfg.Pattern = hosts, PatternPairs
+		}
+		cfg.Guests = maxGuests
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("hosts=%d: %d guests rejected: %v", hosts, cfg.Guests, err)
+		}
+		cfg.Guests = maxGuests + 1
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("hosts=%d: %d guests accepted", hosts, cfg.Guests)
+		}
+	}
+}
+
 func TestBuildXenTopology(t *testing.T) {
 	cfg := DefaultConfig(ModeXen, NICIntel, Rx)
 	cfg.Guests = 4

@@ -55,6 +55,11 @@ func (p Pattern) String() string {
 // byte.
 const maxHosts = 256
 
+// maxGuests bounds Config.Guests for every configuration: a guest index
+// shares MakeMAC's index word the same way, and each guest costs its
+// driver's page pools (thousands of frames) at build time.
+const maxGuests = 255
+
 // clusterMACIndex folds a host index into a MakeMAC index; host 0 maps
 // to the identity, so a 1-host cluster and the classic single-host
 // build address devices identically.

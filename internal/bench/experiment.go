@@ -209,8 +209,8 @@ func (r Result) String() string {
 // so a campaign records a clean error for such grid points instead of
 // a panic.
 func (c Config) Validate() error {
-	if c.Guests < 1 {
-		return fmt.Errorf("bench: config needs at least one guest (got %d)", c.Guests)
+	if c.Guests < 1 || c.Guests > maxGuests {
+		return fmt.Errorf("bench: config needs at least one guest and at most %d (got %d)", maxGuests, c.Guests)
 	}
 	if c.NICs < 1 {
 		return fmt.Errorf("bench: config needs at least one NIC (got %d)", c.NICs)
@@ -233,8 +233,8 @@ func (c Config) Validate() error {
 		default:
 			return fmt.Errorf("bench: unknown traffic pattern %v", c.Pattern)
 		}
-		if c.Guests > 255 || c.NICs > 255 {
-			return fmt.Errorf("bench: multi-host configs need guests and NICs <= 255 (got %d/%d)", c.Guests, c.NICs)
+		if c.NICs > 255 {
+			return fmt.Errorf("bench: multi-host configs need NICs <= 255 (got %d)", c.NICs)
 		}
 	}
 	if err := c.Fabric.Validate(); err != nil {

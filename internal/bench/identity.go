@@ -3,11 +3,8 @@ package bench
 // Experiment identity for the campaign result cache (internal/store).
 // The determinism contract makes a result a pure function of two
 // things: the normalized configuration and the model build that ran
-// it. Normalize pins the first; Fingerprint proxies the second with
-// the same engine registry fingerprint the snapshot layer uses, so a
-// model change that adds or removes any bound callback or timer
-// invalidates every cached result, exactly as it invalidates every
-// snapshot.
+// it. Normalize pins the first; the campaign layer keys the second on
+// a hash of the running executable.
 
 // Normalize returns the fault-complete, connection-balanced form of a
 // configuration — the canonical identity under which results are
@@ -28,30 +25,4 @@ func Normalize(cfg Config) (Config, error) {
 		cfg.Cal = Default()
 	}
 	return cfg, nil
-}
-
-// Fingerprint returns the machine's engine registry fingerprint: the
-// total bound-callback and timer counts across all shards — the same
-// totals snapshot headers carry (internal/snap), and therefore the
-// same cheap proxy for "this model build".
-func (m *Machine) Fingerprint() (binds, timers int) {
-	for _, e := range m.engines {
-		binds += e.Binds()
-		timers += e.Timers()
-	}
-	return binds, timers
-}
-
-// Fingerprint builds the configuration's machine (without running it)
-// and returns its engine registry fingerprint. The build cost is a few
-// hundred microseconds — negligible against the seconds a cache hit
-// saves, and it guarantees the fingerprint reflects this exact
-// configuration's registries, not a global approximation.
-func Fingerprint(cfg Config) (binds, timers int, err error) {
-	m, err := Prepare(cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	binds, timers = m.Fingerprint()
-	return binds, timers, nil
 }

@@ -1,9 +1,13 @@
 package campaign
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
+	"os"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"cdna/internal/bench"
@@ -59,28 +63,43 @@ func (c CacheCounts) HitRate() float64 {
 	return float64(c.Hits) / float64(c.Hits+c.Misses)
 }
 
+// buildID is the SHA-256 of the running executable: the identity of
+// the model build. Any change to the program — a constant, a branch, a
+// cost model — yields a different binary and so a different key, while
+// restarting the same binary keeps every key. It is computed on the
+// first ResultKey call, not at start-up, so processes that never
+// consult the cache never pay for reading their own executable.
+var buildID = sync.OnceValues(func() ([]byte, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, fmt.Errorf("campaign: locating executable for build identity: %w", err)
+	}
+	f, err := os.Open(exe)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: reading executable for build identity: %w", err)
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return nil, fmt.Errorf("campaign: hashing executable for build identity: %w", err)
+	}
+	return h.Sum(nil), nil
+})
+
 // ResultKey derives the canonical cache key of a configuration: a hash
 // over the payload schema version, the snapshot format version, the
-// engine registry fingerprint of the configuration's machine, and the
-// canonical JSON of the normalized configuration plus its calibration.
-// Any model change that alters the machine's registries — and any
-// snapshot-format bump, the marker for state images changing shape —
+// build identity of the running executable, and the canonical JSON of
+// the normalized configuration plus its calibration. A rebuilt model
 // lands every config on a fresh key, so a stale store can only miss,
 // never mislead. Configurations that fail validation are uncacheable
-// and return an error.
-func ResultKey(cfg bench.Config) (key string, err error) {
-	// A malformed-but-validating config can still panic in the machine
-	// builder; RunCaptured owns reporting that. Treat it as uncacheable.
-	defer func() {
-		if r := recover(); r != nil {
-			key, err = "", fmt.Errorf("campaign: fingerprint build panicked: %v", r)
-		}
-	}()
+// and return an error, as does a process that cannot read its own
+// executable.
+func ResultKey(cfg bench.Config) (string, error) {
 	norm, err := bench.Normalize(cfg)
 	if err != nil {
 		return "", err
 	}
-	binds, timers, err := bench.Fingerprint(norm)
+	build, err := buildID()
 	if err != nil {
 		return "", err
 	}
@@ -90,8 +109,7 @@ func ResultKey(cfg bench.Config) (key string, err error) {
 	}
 	// The calibration is excluded from Config's JSON (results files
 	// reconstruct it), but it is part of experiment identity: a
-	// calibration change moves every result without touching the
-	// registries.
+	// calibration change moves every result without changing the build.
 	calJSON, err := json.Marshal(norm.Cal)
 	if err != nil {
 		return "", err
@@ -99,8 +117,7 @@ func ResultKey(cfg bench.Config) (key string, err error) {
 	return store.Key(
 		[]byte(resultSchema),
 		[]byte(strconv.Itoa(snap.Version)),
-		[]byte(strconv.Itoa(binds)),
-		[]byte(strconv.Itoa(timers)),
+		build,
 		cfgJSON,
 		calJSON,
 	), nil

@@ -3,6 +3,9 @@ package campaign
 import (
 	"bytes"
 	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"cdna/internal/bench"
@@ -133,6 +136,43 @@ func TestResultKeyIdentity(t *testing.T) {
 	}
 	if km1 == k1 {
 		t.Fatal("host axis did not change the key")
+	}
+}
+
+// TestResultKeyTracksBuild: two builds that differ only in one string
+// constant must key the same configuration apart, so a store filled by
+// one model build never serves the other. Restarting the same binary
+// keeps its keys (make daemon-smoke pins the ≥95% hit rate).
+func TestResultKeyTracksBuild(t *testing.T) {
+	gobin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	dir := t.TempDir()
+	keyOf := func(variant string) string {
+		t.Helper()
+		bin := filepath.Join(dir, "keyprobe-"+variant)
+		build := exec.Command(gobin, "build", "-buildvcs=false", "-o", bin,
+			"-ldflags", "-X main.variant="+variant, "./testdata/keyprobe")
+		if out, err := build.CombinedOutput(); err != nil {
+			t.Fatalf("building keyprobe: %v\n%s", err, out)
+		}
+		var keys []string
+		for range 2 {
+			out, err := exec.Command(bin).Output()
+			if err != nil {
+				t.Fatalf("running keyprobe: %v", err)
+			}
+			keys = append(keys, strings.TrimSpace(string(out)))
+		}
+		if keys[0] != keys[1] {
+			t.Fatalf("one binary gave two keys: %q, %q", keys[0], keys[1])
+		}
+		return keys[0]
+	}
+	a, b := keyOf("a"), keyOf("b")
+	if a == "" || a == b {
+		t.Fatalf("builds differing in one constant share the key %q", a)
 	}
 }
 

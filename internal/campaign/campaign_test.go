@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -273,6 +274,40 @@ func TestExpandDeduplicates(t *testing.T) {
 		if !seen[want] {
 			t.Errorf("paper grid missing Tables 2–4 point %s", want.Name())
 		}
+	}
+}
+
+// TestGridSize: Size bounds the expansion from above without expanding
+// (equal when no axis collapses), and saturates instead of overflowing.
+func TestGridSize(t *testing.T) {
+	full := Grid{
+		Modes:  []bench.Mode{bench.ModeXen, bench.ModeCDNA},
+		Dirs:   []bench.Direction{bench.Tx, bench.Rx},
+		Guests: []int{1, 2, 4},
+	}
+	if got, want := full.Size(), len(full.Points()); got != 12 || got != want {
+		t.Errorf("Size = %d, Points = %d; want both 12", got, want)
+	}
+	for _, presets := range [][]Grid{PaperGrids(), FaultGrids(), FabricGrids(), OpenLoopGrids()} {
+		for _, g := range presets {
+			if g.Size() < len(g.Points()) {
+				t.Errorf("Size %d below the %d points it expands to", g.Size(), len(g.Points()))
+			}
+		}
+	}
+	wide := make([]int, 100)
+	huge := Grid{
+		Guests: wide, NICCounts: wide, Hosts: wide, Shards: wide,
+		MaxEnqueueBatches: wide, TxCoalesce: wide,
+		Modes:         make([]bench.Mode, 100),
+		NICs:          make([]bench.NICKind, 100),
+		Dirs:          make([]bench.Direction, 100),
+		Protections:   make([]core.Mode, 100),
+		Patterns:      make([]bench.Pattern, 100),
+		IRQDeliveries: make([]bool, 100),
+	}
+	if got := huge.Size(); got != math.MaxInt {
+		t.Errorf("100^12-point grid Size = %d; want saturation at MaxInt", got)
 	}
 }
 

@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"math"
+
 	"cdna/internal/bench"
 	"cdna/internal/core"
 	"cdna/internal/sim"
@@ -275,6 +277,27 @@ func (g Grid) Points() []bench.Config {
 		}
 	}
 	return cfgs
+}
+
+// Size returns the product of the grid's axis lengths, an empty axis
+// counting as one: an upper bound on len(g.Points()), computed without
+// expanding anything, so a service can refuse an oversized grid before
+// materialising it. It saturates at math.MaxInt.
+func (g Grid) Size() int {
+	n := 1
+	for _, l := range []int{
+		len(g.Modes), len(g.NICs), len(g.Dirs), len(g.Guests), len(g.NICCounts),
+		len(g.Protections), len(g.Hosts), len(g.Patterns), len(g.Fabrics),
+		len(g.Shards), len(g.Workloads), len(g.Faults),
+		len(g.MaxEnqueueBatches), len(g.IRQDeliveries), len(g.TxCoalesce),
+	} {
+		l = max(l, 1)
+		if n > math.MaxInt/l {
+			return math.MaxInt
+		}
+		n *= l
+	}
+	return n
 }
 
 // Expand concatenates the expansions of several grids, deduplicating

@@ -14,6 +14,9 @@ import (
 // The HTTP/JSON API, served over a unix socket:
 //
 //	POST /v1/sweeps            submit a SweepRequest; 202 SubmitResponse,
+//	                           400 for a malformed request or one whose
+//	                           grids span more than MaxSweepPoints,
+//	                           413 for a body over MaxRequestBytes,
 //	                           429 when the queue is full (retryable),
 //	                           503 while draining (retryable)
 //	GET  /v1/sweeps/{id}       SweepStatus
@@ -32,6 +35,15 @@ import (
 // its canonical JSON, so a client that retries after a timeout, a 429,
 // or a daemon restart re-attaches to the same sweep instead of
 // enqueueing a duplicate.
+
+// Input bounds. A request body is read only up to MaxRequestBytes, and
+// a request whose grids' axis products sum past MaxSweepPoints is
+// refused before any grid is expanded, so one POST cannot exhaust the
+// daemon's memory. The canned presets span at most a few hundred points.
+const (
+	MaxRequestBytes = 1 << 20
+	MaxSweepPoints  = 10000
+)
 
 // SweepRequest is a sweep submission: the same grid schema
 // cmd/cdnasweep -spec reads, plus execution knobs.

@@ -447,14 +447,27 @@ func (d *Server) Kill() {
 
 func (d *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("decoding sweep request: %v", err), false)
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, fmt.Sprintf("decoding sweep request: %v", err), false)
 		return
 	}
 	if len(req.Grids) == 0 {
 		writeErr(w, http.StatusBadRequest, "sweep request has no grids", false)
+		return
+	}
+	points := 0
+	for _, g := range req.Grids {
+		points += min(g.Size(), MaxSweepPoints+1)
+	}
+	if points > MaxSweepPoints {
+		writeErr(w, http.StatusBadRequest, fmt.Sprintf("sweep request spans more than %d points", MaxSweepPoints), false)
 		return
 	}
 	id, err := req.ID()

@@ -197,7 +197,13 @@ func submitRaw(t *testing.T, c *Client, req SweepRequest) (int, apiError) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c.hc.Post("http://daemon/v1/sweeps", "application/json", bytes.NewReader(b))
+	return postRaw(t, c, b)
+}
+
+// postRaw posts body verbatim to the submit endpoint.
+func postRaw(t *testing.T, c *Client, body []byte) (int, apiError) {
+	t.Helper()
+	resp, err := c.hc.Post("http://daemon/v1/sweeps", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,6 +211,40 @@ func submitRaw(t *testing.T, c *Client, req SweepRequest) (int, apiError) {
 	var ae apiError
 	json.NewDecoder(resp.Body).Decode(&ae)
 	return resp.StatusCode, ae
+}
+
+// TestSubmitInputBounds: an oversized body gets 413 and a grid whose
+// axis product passes MaxSweepPoints gets 400, both before anything is
+// queued; a request inside both bounds is accepted.
+func TestSubmitInputBounds(t *testing.T) {
+	dir := shortDir(t)
+	d, c := startDaemon(t, testConfig(dir))
+
+	small, err := json.Marshal(distinctReqs(1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := append(bytes.Repeat([]byte(" "), MaxRequestBytes), small...)
+	if code, _ := postRaw(t, c, padded); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body got %d; want 413", code)
+	}
+
+	huge := distinctReqs(1)[0]
+	huge.Grids[0].Guests = make([]int, 101)    // 101 x 100 axis product:
+	huge.Grids[0].NICCounts = make([]int, 100) // past the cap, never expanded
+	if code, ae := submitRaw(t, c, huge); code != http.StatusBadRequest || ae.Retryable {
+		t.Fatalf("%d-point grid got %d (retryable %v); want a final 400", huge.Grids[0].Size(), code, ae.Retryable)
+	}
+
+	d.mu.Lock()
+	n := len(d.sweeps)
+	d.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("daemon holds %d sweeps after rejected submissions; want 0", n)
+	}
+	if code, _ := postRaw(t, c, small); code != http.StatusAccepted {
+		t.Fatalf("in-bounds request got %d; want 202", code)
+	}
 }
 
 // distinctReqs returns n sweep requests with distinct content (distinct

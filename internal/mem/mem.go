@@ -65,23 +65,35 @@ var (
 	ErrFreed        = errors.New("mem: page already freed")
 )
 
+// page is one frame's record. Contents are created on the first write
+// (a never-written page reads as zeros), and the record is kept to 24
+// bytes: a machine allocates thousands of frames per driver, so the
+// page table is most of what building one allocates.
 type page struct {
+	data    *[PageSize]byte // nil until first written
 	owner   DomID
-	ref     int
+	ref     int32
 	freed   bool // owner freed it; returns to pool when ref drops to 0
 	hypOnly bool // only the hypervisor may CPU-write this page
-	data    []byte
 }
 
-// Memory is the machine's physical memory. The page table is a dense
-// slice indexed by PFN — frame numbers are handed out sequentially, so
-// every page lookup on the DMA hot path (descriptor reads, payload
-// writes, ownership validation) is an array index, not a hash probe,
-// and iteration order is inherently deterministic.
+// The page table is a list of fixed-size chunks indexed by PFN, so it
+// grows by adding a chunk and never copies the records it already holds.
+const (
+	chunkShift = 10
+	chunkPages = 1 << chunkShift
+	chunkMask  = chunkPages - 1
+)
+
+// Memory is the machine's physical memory. The page table is indexed
+// by PFN — frame numbers are handed out sequentially, so every page
+// lookup on the DMA hot path (descriptor reads, payload writes,
+// ownership validation) is two array indexes, not a hash probe, and
+// iteration order is inherently deterministic.
 type Memory struct {
-	pages   []page // indexed by PFN; entry 0 is never allocated
+	chunks  []*[chunkPages]page // chunks[pfn>>chunkShift][pfn&chunkMask]; PFN 0 is never allocated
 	freeQ   []PFN
-	nextPFN PFN
+	nextPFN PFN // frames below nextPFN exist in the table
 
 	// devWrites counts DMA-written bytes per owning domain (slice index
 	// DomID+1, so DomInvalid owners land in slot 0); diagnostics for
@@ -91,10 +103,7 @@ type Memory struct {
 
 // New returns an empty physical memory.
 func New() *Memory {
-	return &Memory{
-		pages:   make([]page, 1, 256), // PFN 0 is never allocated; Addr 0 stays invalid
-		nextPFN: 1,
-	}
+	return &Memory{nextPFN: 1} // PFN 0 is never allocated; Addr 0 stays invalid
 }
 
 // DeviceWritten returns how many bytes devices (DMA) have written into
@@ -120,10 +129,10 @@ func (m *Memory) countDeviceWrite(dom DomID, n int) {
 
 // lookup returns the page for pfn, or nil if it was never allocated.
 func (m *Memory) lookup(pfn PFN) *page {
-	if pfn == 0 || uint64(pfn) >= uint64(len(m.pages)) {
+	if pfn == 0 || pfn >= m.nextPFN {
 		return nil
 	}
-	return &m.pages[pfn]
+	return &m.chunks[pfn>>chunkShift][pfn&chunkMask]
 }
 
 // Alloc allocates n pages owned by dom and returns their frame numbers.
@@ -134,17 +143,20 @@ func (m *Memory) Alloc(dom DomID, n int) []PFN {
 		if len(m.freeQ) > 0 {
 			pfn = m.freeQ[0]
 			m.freeQ = m.freeQ[1:]
-			pg := &m.pages[pfn]
+			pg := m.lookup(pfn)
 			pg.owner = dom
 			pg.freed = false
 			pg.hypOnly = false
-			for j := range pg.data {
-				pg.data[j] = 0
+			if pg.data != nil {
+				*pg.data = [PageSize]byte{}
 			}
 		} else {
 			pfn = m.nextPFN
 			m.nextPFN++
-			m.pages = append(m.pages, page{owner: dom})
+			if int(pfn>>chunkShift) == len(m.chunks) {
+				m.chunks = append(m.chunks, new([chunkPages]page))
+			}
+			*m.lookup(pfn) = page{owner: dom}
 		}
 		out = append(out, pfn)
 	}
@@ -217,7 +229,7 @@ func (m *Memory) Put(pfn PFN) error {
 // Refs returns the current reference count.
 func (m *Memory) Refs(pfn PFN) int {
 	if pg := m.lookup(pfn); pg != nil {
-		return pg.ref
+		return int(pg.ref)
 	}
 	return 0
 }
@@ -320,7 +332,7 @@ func (m *Memory) writeRaw(addr Addr, b []byte, device bool) error {
 			return err
 		}
 		if pg.data == nil {
-			pg.data = make([]byte, PageSize)
+			pg.data = new([PageSize]byte)
 		}
 		off := addr.Offset()
 		n := copy(pg.data[off:], b)
@@ -400,8 +412,8 @@ func (m *Memory) ReadInto(addr Addr, dst []byte) error {
 // Pages returns how many live (not freed) pages dom owns.
 func (m *Memory) Pages(dom DomID) int {
 	n := 0
-	for pfn := 1; pfn < len(m.pages); pfn++ {
-		if pg := &m.pages[pfn]; pg.owner == dom && !pg.freed {
+	for pfn := PFN(1); pfn < m.nextPFN; pfn++ {
+		if pg := m.lookup(pfn); pg.owner == dom && !pg.freed {
 			n++
 		}
 	}

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -324,5 +325,140 @@ func TestRefcountProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// allocAcrossChunks allocates frames 1..n to guestA, so the table
+// spans more than one chunk when n >= chunkPages.
+func allocAcrossChunks(t *testing.T, m *Memory, n int) []PFN {
+	t.Helper()
+	pfns := m.Alloc(guestA, n)
+	for i, p := range pfns {
+		if p != PFN(i+1) {
+			t.Fatalf("fresh allocation %d got pfn %d; want %d", i, p, i+1)
+		}
+	}
+	return pfns
+}
+
+// TestChunkBoundaryReuse: frames on either side of a chunk boundary
+// allocate, free and — when pinned — wait for their last reference
+// before reuse, exactly like frames inside one chunk.
+func TestChunkBoundaryReuse(t *testing.T) {
+	m := New()
+	allocAcrossChunks(t, m, chunkPages+8)
+	last, first := PFN(chunkPages-1), PFN(chunkPages) // last of chunk 0, first of chunk 1
+	if err := m.Get(first); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []PFN{first, last} {
+		if err := m.Free(guestA, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.AllocOne(guestB); got != last {
+		t.Fatalf("first reuse got pfn %d; want the unpinned %d", got, last)
+	}
+	if got := m.AllocOne(guestB); got != chunkPages+9 {
+		t.Fatalf("pinned pfn %d reused (got %d); want fresh pfn %d", first, got, chunkPages+9)
+	}
+	if err := m.Put(first); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.AllocOne(guestB); got != first {
+		t.Fatalf("unpinned pfn %d not reused (got %d)", first, got)
+	}
+	for _, p := range []PFN{last, first} {
+		if m.Owner(p) != guestB || m.Refs(p) != 0 {
+			t.Fatalf("pfn %d: owner %d refs %d; want %d, 0", p, m.Owner(p), m.Refs(p), guestB)
+		}
+	}
+	if m.Owner(chunkPages+10) != DomInvalid {
+		t.Fatal("frame past the table reports an owner")
+	}
+}
+
+// TestPagesAcrossChunks counts live pages spread over three chunks.
+func TestPagesAcrossChunks(t *testing.T) {
+	m := New()
+	n := 2*chunkPages + 5
+	pfns := allocAcrossChunks(t, m, n)
+	m.Alloc(guestB, 3)
+	for _, p := range pfns[chunkPages-2 : chunkPages+2] {
+		if err := m.Free(guestA, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.Pages(guestA); got != n-4 {
+		t.Fatalf("Pages(guestA) = %d; want %d", got, n-4)
+	}
+	if got := m.Pages(guestB); got != 3 {
+		t.Fatalf("Pages(guestB) = %d; want 3", got)
+	}
+}
+
+// TestStateRoundTripAcrossChunks: a multi-chunk table with written,
+// never-written, pinned, freed and protected pages survives
+// State/SetState, and the restored memory keeps allocating where the
+// original left off.
+func TestStateRoundTripAcrossChunks(t *testing.T) {
+	m := New()
+	n := chunkPages + 100
+	allocAcrossChunks(t, m, n)
+	written := []PFN{1, chunkPages - 1, chunkPages, PFN(n)}
+	for i, p := range written {
+		if err := m.Write(p.Base()+Addr(i), []byte{byte(0x10 + i), 0xff}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Get(chunkPages + 1)
+	m.Free(guestA, chunkPages+1) // pinned: stays out of the free queue
+	m.Free(guestA, 7)
+	m.SetHypExclusive(chunkPages+2, true)
+
+	img := m.State()
+	if len(img.Pages) != n+1 || img.NextPFN != PFN(n+1) {
+		t.Fatalf("image has %d pages, NextPFN %d; want %d, %d", len(img.Pages), img.NextPFN, n+1, n+1)
+	}
+	if img.Pages[2].Data != nil {
+		t.Fatal("never-written page captured with contents")
+	}
+	r := New()
+	r.SetState(img)
+	if !reflect.DeepEqual(r.State(), img) {
+		t.Fatal("State after SetState differs from the image")
+	}
+	for i, p := range written {
+		got, err := r.Read(p.Base()+Addr(i), 2)
+		if err != nil || got[0] != byte(0x10+i) || got[1] != 0xff {
+			t.Fatalf("pfn %d contents %v (err %v) after restore", p, got, err)
+		}
+	}
+	if r.Refs(chunkPages+1) != 1 || !r.HypExclusive(chunkPages+2) || r.Owner(7) != DomInvalid {
+		t.Fatal("restored page bits differ")
+	}
+	if got := r.Alloc(guestB, 2); got[0] != 7 || got[1] != PFN(n+1) {
+		t.Fatalf("restored allocator handed out %v; want [7 %d]", got, n+1)
+	}
+}
+
+// TestReuseNeverWrittenPage: a reused page that was never written has
+// no contents to clear and still reads as zeros.
+func TestReuseNeverWrittenPage(t *testing.T) {
+	m := New()
+	p := m.AllocOne(guestA)
+	if err := m.Free(guestA, p); err != nil {
+		t.Fatal(err)
+	}
+	q := m.AllocOne(guestB)
+	if q != p {
+		t.Fatalf("free page not reused: got %d want %d", q, p)
+	}
+	got, err := m.Read(q.Base(), PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, make([]byte, PageSize)) {
+		t.Fatal("never-written reused page does not read as zeros")
 	}
 }

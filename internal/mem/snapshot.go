@@ -12,7 +12,8 @@ type PageState struct {
 }
 
 // State is the whole physical memory's checkpoint image. Pages is
-// indexed by PFN with entry 0 unused, mirroring the dense page table.
+// indexed by PFN with entry 0 unused, one entry per frame below
+// NextPFN.
 type State struct {
 	Pages     []PageState
 	FreeQ     []PFN
@@ -25,16 +26,19 @@ type State struct {
 // immune to later DMA writes.
 func (m *Memory) State() State {
 	s := State{
-		Pages:     make([]PageState, len(m.pages)),
+		Pages:     make([]PageState, m.nextPFN),
 		FreeQ:     append([]PFN(nil), m.freeQ...),
 		NextPFN:   m.nextPFN,
 		DevWrites: append([]uint64(nil), m.devWrites...),
 	}
-	for i := range m.pages {
-		pg := &m.pages[i]
-		ps := PageState{Owner: pg.owner, Ref: pg.ref, Freed: pg.freed, HypOnly: pg.hypOnly}
+	for i := range s.Pages {
+		pg := m.lookup(PFN(i))
+		if pg == nil {
+			continue // PFN 0
+		}
+		ps := PageState{Owner: pg.owner, Ref: int(pg.ref), Freed: pg.freed, HypOnly: pg.hypOnly}
 		if pg.data != nil {
-			ps.Data = append([]byte(nil), pg.data...)
+			ps.Data = append([]byte(nil), pg.data[:]...)
 		}
 		s.Pages[i] = ps
 	}
@@ -45,15 +49,19 @@ func (m *Memory) State() State {
 // page table. The restored machine's construction-time allocations are
 // overwritten wholesale — the image is authoritative.
 func (m *Memory) SetState(s State) {
-	m.pages = make([]page, len(s.Pages))
+	n := max(len(s.Pages), int(s.NextPFN))
+	m.chunks = make([]*[chunkPages]page, (n+chunkMask)>>chunkShift)
+	for i := range m.chunks {
+		m.chunks[i] = new([chunkPages]page)
+	}
 	for i := range s.Pages {
 		ps := &s.Pages[i]
-		pg := page{owner: ps.Owner, ref: ps.Ref, freed: ps.Freed, hypOnly: ps.HypOnly}
+		pg := page{owner: ps.Owner, ref: int32(ps.Ref), freed: ps.Freed, hypOnly: ps.HypOnly}
 		if ps.Data != nil {
-			pg.data = make([]byte, PageSize)
-			copy(pg.data, ps.Data)
+			pg.data = new([PageSize]byte)
+			copy(pg.data[:], ps.Data)
 		}
-		m.pages[i] = pg
+		m.chunks[i>>chunkShift][i&chunkMask] = pg
 	}
 	m.freeQ = append(m.freeQ[:0], s.FreeQ...)
 	m.nextPFN = s.NextPFN

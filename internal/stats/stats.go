@@ -8,6 +8,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -155,8 +156,13 @@ type Distribution struct {
 	sorted  bool
 }
 
-// Observe records one sample.
+// Observe records one sample. A full sample slice doubles its capacity
+// (append alone grows large slices by about 1.25x, re-copying a
+// long run's latency samples many more times).
 func (d *Distribution) Observe(v float64) {
+	if len(d.samples) == cap(d.samples) {
+		d.samples = slices.Grow(d.samples, max(cap(d.samples), 64))
+	}
 	d.samples = append(d.samples, v)
 	d.sorted = false
 }
