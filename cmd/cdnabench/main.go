@@ -135,10 +135,7 @@ type Report struct {
 	GoVersion string `json:"go_version"`
 	GOARCH    string `json:"goarch"`
 
-	// GOMAXPROCS records the core count of the measuring machine. The
-	// sharded multi-host rows depend on it directly (shards execute in
-	// parallel), so -compare skips their regression gate when the two
-	// reports were measured at different core counts.
+	// GOMAXPROCS records the core count of the measuring machine.
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 
 	// Scheduler is the compiled-in event queue: "wheel" (default) or
@@ -167,16 +164,6 @@ type Report struct {
 	// on the switched fabric — the cluster-scale row: four machines'
 	// worth of model per simulated second through one engine.
 	MultiHost EndToEnd `json:"multi_host_end_to_end"`
-
-	// MultiHostShards{2,4} rerun the multi-host row with the machine
-	// partitioned over 2 and 4 engine shards (Config.Shards). Results
-	// are byte-identical to the single-engine row by contract; the wall
-	// clock measures what the sharded executor costs or buys. On a
-	// single-core machine the shards execute sequentially, so these rows
-	// carry the barrier/seam overhead, not a parallel speedup — see
-	// EXPERIMENTS.md.
-	MultiHostShards2 EndToEnd `json:"multi_host_end_to_end_shards2"`
-	MultiHostShards4 EndToEnd `json:"multi_host_end_to_end_shards4"`
 
 	// FabricLeafSpine reruns the multi-host incast over a two-tier
 	// leaf-spine fabric (internal/topo multi-switch path: ECMP hashing,
@@ -255,16 +242,14 @@ type WarmstartFork struct {
 
 // Reference is an embedded secondary measurement (see Report.Reference).
 type Reference struct {
-	Scheduler        string     `json:"scheduler"`
-	Engine           EngineRows `json:"engine"`
-	Model            ModelRows  `json:"model"`
-	Fabric           Row        `json:"fabric_forward"`
-	EndToEnd         EndToEnd   `json:"end_to_end"`
-	MultiHost        EndToEnd   `json:"multi_host_end_to_end"`
-	MultiHostShards2 EndToEnd   `json:"multi_host_end_to_end_shards2"`
-	MultiHostShards4 EndToEnd   `json:"multi_host_end_to_end_shards4"`
-	FabricLeafSpine  EndToEnd   `json:"fabric_leafspine_end_to_end"`
-	OpenLoop         EndToEnd   `json:"open_loop_end_to_end"`
+	Scheduler       string     `json:"scheduler"`
+	Engine          EngineRows `json:"engine"`
+	Model           ModelRows  `json:"model"`
+	Fabric          Row        `json:"fabric_forward"`
+	EndToEnd        EndToEnd   `json:"end_to_end"`
+	MultiHost       EndToEnd   `json:"multi_host_end_to_end"`
+	FabricLeafSpine EndToEnd   `json:"fabric_leafspine_end_to_end"`
+	OpenLoop        EndToEnd   `json:"open_loop_end_to_end"`
 }
 
 func measure(benchtime time.Duration, match func(string) bool) (*Report, error) {
@@ -354,17 +339,6 @@ func measure(benchtime time.Duration, match func(string) bool) (*Report, error) 
 	mh.Pattern = bench.PatternIncast
 	if err := endToEnd("multi_host", mh, &rep.MultiHost); err != nil {
 		return nil, err
-	}
-	for _, s := range []struct {
-		name string
-		n    int
-		out  *EndToEnd
-	}{{"multi_host_shards2", 2, &rep.MultiHostShards2}, {"multi_host_shards4", 4, &rep.MultiHostShards4}} {
-		cfg := mh
-		cfg.Shards = s.n
-		if err := endToEnd(s.name, cfg, s.out); err != nil {
-			return nil, err
-		}
 	}
 	ls := mh
 	ls.Fabric = topo.FabricSpec{Kind: topo.KindLeafSpine, HostsPerLeaf: 2, Spines: 2}
@@ -504,16 +478,12 @@ func load(path string) (*Report, error) {
 }
 
 // metric is one comparable ns/event figure extracted from a report.
-// procs is nonzero only for rows whose timing depends on the measuring
-// machine's core count (the sharded multi-host rows); compare() skips
-// the regression gate on those when the two reports disagree. spread is
-// the row's recorded measurement scatter (SpreadPct / WallSpreadPct),
-// which widens the per-row regression gate.
+// spread is the row's recorded measurement scatter (SpreadPct /
+// WallSpreadPct), which widens the per-row regression gate.
 type metric struct {
 	name   string
 	ns     float64
 	allocs int64
-	procs  int
 	spread float64
 }
 
@@ -531,13 +501,6 @@ func metrics(r *Report) []metric {
 	if r.WarmstartFork.Runs > 0 {
 		forkNs = r.WarmstartFork.ForkedSeconds / float64(r.WarmstartFork.Runs) * 1e9
 	}
-	mh2Ns, mh4Ns := 0.0, 0.0
-	if r.MultiHostShards2.EventsPerSec > 0 {
-		mh2Ns = 1e9 / r.MultiHostShards2.EventsPerSec
-	}
-	if r.MultiHostShards4.EventsPerSec > 0 {
-		mh4Ns = 1e9 / r.MultiHostShards4.EventsPerSec
-	}
 	flsNs, olNs := 0.0, 0.0
 	if r.FabricLeafSpine.EventsPerSec > 0 {
 		flsNs = 1e9 / r.FabricLeafSpine.EventsPerSec
@@ -546,36 +509,28 @@ func metrics(r *Report) []metric {
 		olNs = 1e9 / r.OpenLoop.EventsPerSec
 	}
 	return []metric{
-		{"engine.schedule_fire", r.Engine.ScheduleFire.NsPerEvent, r.Engine.ScheduleFire.AllocsPerOp, 0, r.Engine.ScheduleFire.SpreadPct},
-		{"engine.schedule_fire_closure", r.Engine.ScheduleFireClosure.NsPerEvent, r.Engine.ScheduleFireClosure.AllocsPerOp, 0, r.Engine.ScheduleFireClosure.SpreadPct},
-		{"engine.schedule_fire_depth64", r.Engine.ScheduleFireDepth64.NsPerEvent, r.Engine.ScheduleFireDepth64.AllocsPerOp, 0, r.Engine.ScheduleFireDepth64.SpreadPct},
-		{"engine.timer_rearm", r.Engine.TimerRearm.NsPerEvent, r.Engine.TimerRearm.AllocsPerOp, 0, r.Engine.TimerRearm.SpreadPct},
-		{"engine.cancel", r.Engine.Cancel.NsPerEvent, r.Engine.Cancel.AllocsPerOp, 0, r.Engine.Cancel.SpreadPct},
-		{"engine.cancel_heavy", r.Engine.CancelHeavy.NsPerEvent, r.Engine.CancelHeavy.AllocsPerOp, 0, r.Engine.CancelHeavy.SpreadPct},
-		{"engine.rto_churn", r.Engine.RTOChurn.NsPerEvent, r.Engine.RTOChurn.AllocsPerOp, 0, r.Engine.RTOChurn.SpreadPct},
-		{"fabric.forward", r.Fabric.NsPerEvent, r.Fabric.AllocsPerOp, 0, r.Fabric.SpreadPct},
-		{"end_to_end.ns_per_event", e2eNs, 0, 0, r.EndToEnd.WallSpreadPct},
-		{"multi_host.ns_per_event", mhNs, 0, 0, r.MultiHost.WallSpreadPct},
+		{"engine.schedule_fire", r.Engine.ScheduleFire.NsPerEvent, r.Engine.ScheduleFire.AllocsPerOp, r.Engine.ScheduleFire.SpreadPct},
+		{"engine.schedule_fire_closure", r.Engine.ScheduleFireClosure.NsPerEvent, r.Engine.ScheduleFireClosure.AllocsPerOp, r.Engine.ScheduleFireClosure.SpreadPct},
+		{"engine.schedule_fire_depth64", r.Engine.ScheduleFireDepth64.NsPerEvent, r.Engine.ScheduleFireDepth64.AllocsPerOp, r.Engine.ScheduleFireDepth64.SpreadPct},
+		{"engine.timer_rearm", r.Engine.TimerRearm.NsPerEvent, r.Engine.TimerRearm.AllocsPerOp, r.Engine.TimerRearm.SpreadPct},
+		{"engine.cancel", r.Engine.Cancel.NsPerEvent, r.Engine.Cancel.AllocsPerOp, r.Engine.Cancel.SpreadPct},
+		{"engine.cancel_heavy", r.Engine.CancelHeavy.NsPerEvent, r.Engine.CancelHeavy.AllocsPerOp, r.Engine.CancelHeavy.SpreadPct},
+		{"engine.rto_churn", r.Engine.RTOChurn.NsPerEvent, r.Engine.RTOChurn.AllocsPerOp, r.Engine.RTOChurn.SpreadPct},
+		{"fabric.forward", r.Fabric.NsPerEvent, r.Fabric.AllocsPerOp, r.Fabric.SpreadPct},
+		{"end_to_end.ns_per_event", e2eNs, 0, r.EndToEnd.WallSpreadPct},
+		{"multi_host.ns_per_event", mhNs, 0, r.MultiHost.WallSpreadPct},
 		// Snapshot+restore round trip and per-run forked wall: absent
 		// (zero) in pre-checkpoint artifacts, where they report as n/a.
-		{"snapshot_roundtrip.ns", snapNs, 0, 0, 0},
-		{"warmstart_fork.ns_per_run", forkNs, 0, 0, 0},
-		// compare() walks the OLD report's metric list by index, so new
-		// metrics must only ever be added at the end to stay comparable
-		// with committed artifacts. The sharded rows carry the report's
-		// GOMAXPROCS: their wall clock depends on how many shards actually
-		// run in parallel, so cross-machine comparisons skip their gate.
-		{"multi_host_shards2.ns_per_event", mh2Ns, 0, r.GOMAXPROCS, r.MultiHostShards2.WallSpreadPct},
-		{"multi_host_shards4.ns_per_event", mh4Ns, 0, r.GOMAXPROCS, r.MultiHostShards4.WallSpreadPct},
-		// Model-layer rows (added at the end per the rule above).
-		{"model.nic_tx_pipeline", r.Model.NicTxPipeline.NsPerEvent, r.Model.NicTxPipeline.AllocsPerOp, 0, r.Model.NicTxPipeline.SpreadPct},
-		{"model.guest_dma", r.Model.GuestDMA.NsPerEvent, r.Model.GuestDMA.AllocsPerOp, 0, r.Model.GuestDMA.SpreadPct},
-		{"model.transport_segment", r.Model.TransportSegment.NsPerEvent, r.Model.TransportSegment.AllocsPerOp, 0, r.Model.TransportSegment.SpreadPct},
-		{"model.frame_arena", r.Model.FrameArena.NsPerEvent, r.Model.FrameArena.AllocsPerOp, 0, r.Model.FrameArena.SpreadPct},
-		// Multi-tier fabric and open-loop workload rows (this PR's
-		// additions, at the end per the rule above).
-		{"fabric_leafspine.ns_per_event", flsNs, 0, 0, r.FabricLeafSpine.WallSpreadPct},
-		{"open_loop.ns_per_event", olNs, 0, 0, r.OpenLoop.WallSpreadPct},
+		{"snapshot_roundtrip.ns", snapNs, 0, 0},
+		{"warmstart_fork.ns_per_run", forkNs, 0, 0},
+		// Model-layer rows.
+		{"model.nic_tx_pipeline", r.Model.NicTxPipeline.NsPerEvent, r.Model.NicTxPipeline.AllocsPerOp, r.Model.NicTxPipeline.SpreadPct},
+		{"model.guest_dma", r.Model.GuestDMA.NsPerEvent, r.Model.GuestDMA.AllocsPerOp, r.Model.GuestDMA.SpreadPct},
+		{"model.transport_segment", r.Model.TransportSegment.NsPerEvent, r.Model.TransportSegment.AllocsPerOp, r.Model.TransportSegment.SpreadPct},
+		{"model.frame_arena", r.Model.FrameArena.NsPerEvent, r.Model.FrameArena.AllocsPerOp, r.Model.FrameArena.SpreadPct},
+		// Multi-tier fabric and open-loop workload rows.
+		{"fabric_leafspine.ns_per_event", flsNs, 0, r.FabricLeafSpine.WallSpreadPct},
+		{"open_loop.ns_per_event", olNs, 0, r.OpenLoop.WallSpreadPct},
 	}
 }
 
@@ -625,12 +580,6 @@ func compare(old, cur *Report, tol float64) (failed bool) {
 			// has — a silently broken benchmark, not a speedup.
 			fmt.Printf("  %-30s %12.2f %12.2f %9s  << MISSING\n", o.name, o.ns, c.ns, "n/a")
 			failed = true
-		case o.procs != 0 && c.procs != 0 && o.procs != c.procs:
-			// Core-count-sensitive row measured on machines with different
-			// parallelism: the delta is hardware, not a code regression.
-			delta := (c.ns - o.ns) / o.ns * 100
-			fmt.Printf("  %-30s %12.2f %12.2f %+8.1f%%  (skipped: %d vs %d cores)\n",
-				o.name, o.ns, c.ns, delta, o.procs, c.procs)
 		default:
 			delta := (c.ns - o.ns) / o.ns * 100
 			rowTol := effectiveTol(tol, o, c)
@@ -707,8 +656,6 @@ func main() {
 		rep.Reference = &Reference{Scheduler: other.Scheduler, Engine: other.Engine, Model: other.Model, Fabric: other.Fabric}
 		rep.Reference.EndToEnd = other.EndToEnd
 		rep.Reference.MultiHost = other.MultiHost
-		rep.Reference.MultiHostShards2 = other.MultiHostShards2
-		rep.Reference.MultiHostShards4 = other.MultiHostShards4
 		rep.Reference.FabricLeafSpine = other.FabricLeafSpine
 		rep.Reference.OpenLoop = other.OpenLoop
 	}

@@ -60,7 +60,6 @@ func main() {
 	faultTarget := flag.Int("fault-target", 0, "victim link (linkflap) or switch port (portfail)")
 	duration := flag.Float64("duration", 1.0, "measurement window, simulated seconds")
 	warmup := flag.Float64("warmup", 0.3, "warmup, simulated seconds")
-	shards := flag.Int("shards", 0, "engine shards for a multi-host run (0/1 = single engine; results are byte-identical at any value)")
 	verbose := flag.Bool("v", false, "print extra diagnostics")
 	trace := flag.Int("trace", 0, "print the last N simulator events")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -141,10 +140,9 @@ func main() {
 	cfg.NICs = *nics
 	cfg.Window = *window
 	cfg.Protection = p
+	cfg.Hosts = *hosts
 	if *hosts > 1 {
-		cfg.Hosts = *hosts
 		cfg.Pattern = pat
-		cfg.Shards = *shards
 		if fbKind != topo.KindToR {
 			cfg.Fabric = topo.FabricSpec{
 				Kind:         fbKind,
@@ -154,15 +152,8 @@ func main() {
 				Seed:         *fabricSeed,
 			}
 		}
-	} else if *shards > 1 {
-		fmt.Fprintf(os.Stderr, "-shards requires -hosts > 1 (a single host runs on a single engine)\n")
-		os.Exit(2)
 	}
-	if *conns > 0 {
-		cfg.ConnsPerGuestPerNIC = *conns
-	} else {
-		cfg.ConnsPerGuestPerNIC = 0 // balanced default chosen by Run
-	}
+	cfg.ConnsPerGuestPerNIC = *conns // 0 = balanced default chosen by Run
 	cfg.Duration = sim.Time(*duration * float64(sim.Second))
 	cfg.Warmup = sim.Time(*warmup * float64(sim.Second))
 	if fk != bench.FaultNone {
@@ -173,6 +164,10 @@ func main() {
 			Outage: sim.Time(*faultOutage * float64(sim.Second)),
 			Target: *faultTarget,
 		}
+	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "%v\n", err)
+		os.Exit(2)
 	}
 
 	if *cpuprofile != "" {

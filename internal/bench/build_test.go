@@ -88,6 +88,38 @@ func TestValidateCapsGuests(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNegativesBeforeDefaults: zero means "use the
+// default" for the connection count, the ablation knobs and the fault
+// schedule, but a negative value is rejected before defaulting could
+// replace it (a negative fault offset with no outage would otherwise
+// take the quarter-window schedule, a negative connection count the
+// balanced one).
+func TestValidateRejectsNegativesBeforeDefaults(t *testing.T) {
+	base := DefaultConfig(ModeCDNA, NICRice, Tx)
+	base.ConnsPerGuestPerNIC = 0
+	base.Fault = FaultSpec{Kind: FaultLinkFlap}
+	if _, err := Normalize(base); err != nil {
+		t.Fatalf("zero-default config rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(*Config){
+		"hosts":    func(c *Config) { c.Hosts = -3 },
+		"conns":    func(c *Config) { c.ConnsPerGuestPerNIC = -2 },
+		"batch":    func(c *Config) { c.MaxEnqueueBatch = -1 },
+		"coalesce": func(c *Config) { c.TxCoalescePkts = -1 },
+		"fault-at": func(c *Config) { c.Fault.After = -sim.Millisecond },
+		"outage":   func(c *Config) { c.Fault.Outage = -sim.Millisecond },
+	} {
+		cfg := base
+		mutate(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: negative value accepted", name)
+		}
+		if _, err := Prepare(cfg); err == nil {
+			t.Errorf("%s: Prepare built a machine from a negative value", name)
+		}
+	}
+}
+
 func TestBuildXenTopology(t *testing.T) {
 	cfg := DefaultConfig(ModeXen, NICIntel, Rx)
 	cfg.Guests = 4

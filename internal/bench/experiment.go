@@ -36,12 +36,6 @@ type Config struct {
 	// multiple switches with ECMP-hashed trunks (internal/topo).
 	// Requires Hosts > 1 for any non-ToR kind.
 	Fabric topo.FabricSpec `json:"fabric,omitzero"`
-	// Shards partitions a multi-host machine into per-host engine
-	// shards advancing in barrier-synchronized rounds (shards.go). It
-	// is purely a wall-clock knob: results are byte-identical at any
-	// value, so it is excluded from the JSON schema and the config
-	// name. Clamped to [1, Hosts]; ignored for single-host machines.
-	Shards int `json:"-"`
 
 	ConnsPerGuestPerNIC int `json:"conns_per_guest_per_nic"`
 	Window              int `json:"window"`
@@ -208,6 +202,11 @@ func (r Result) String() string {
 // or produce NaN/Inf rates that poison result encoding. Run calls it,
 // so a campaign records a clean error for such grid points instead of
 // a panic.
+//
+// Validate sees the configuration before any defaulting (Normalize
+// runs it first): zero means "use the default" for the connection
+// count, the ablation knobs and the fault schedule, and a negative
+// value is rejected rather than silently replaced by that default.
 func (c Config) Validate() error {
 	if c.Guests < 1 || c.Guests > maxGuests {
 		return fmt.Errorf("bench: config needs at least one guest and at most %d (got %d)", maxGuests, c.Guests)
@@ -226,6 +225,10 @@ func (c Config) Validate() error {
 	}
 	if c.Hosts < 0 || c.Hosts > maxHosts {
 		return fmt.Errorf("bench: config needs 0..%d hosts (got %d)", maxHosts, c.Hosts)
+	}
+	if c.ConnsPerGuestPerNIC < 0 || c.MaxEnqueueBatch < 0 || c.TxCoalescePkts < 0 {
+		return fmt.Errorf("bench: config needs non-negative conns, enqueue batch and coalescing (got %d, %d, %d)",
+			c.ConnsPerGuestPerNIC, c.MaxEnqueueBatch, c.TxCoalescePkts)
 	}
 	if c.Hosts > 1 {
 		switch c.Pattern {
@@ -246,10 +249,10 @@ func (c Config) Validate() error {
 	if err := c.Workload.Validate(); err != nil {
 		return err
 	}
-	if err := c.Fault.validate(c); err != nil {
-		return err
+	if c.Fault.After < 0 || c.Fault.Outage < 0 {
+		return fmt.Errorf("bench: fault needs a non-negative offset and outage (got %v+%v)", c.Fault.After, c.Fault.Outage)
 	}
-	return nil
+	return c.Fault.withDefaults(c.Duration).validate(c)
 }
 
 // Run builds the machine, runs warmup plus the measurement window, and
@@ -286,16 +289,13 @@ func runMachine(cfg Config, traceN int) (*Machine, Result, error) {
 	return m, m.Collect(), nil
 }
 
-// Prepare validates and normalizes a configuration and builds its
-// machine (normalization fills the balanced connection count, so the
-// recorded Result.Config is explicit).
+// Prepare validates and normalizes a configuration (Normalize) and
+// builds its machine; normalization fills the balanced connection
+// count, so the recorded Result.Config is explicit.
 func Prepare(cfg Config) (*Machine, error) {
-	cfg.Fault = cfg.Fault.withDefaults(cfg.Duration)
-	if err := cfg.Validate(); err != nil {
+	cfg, err := Normalize(cfg)
+	if err != nil {
 		return nil, err
-	}
-	if cfg.ConnsPerGuestPerNIC <= 0 {
-		cfg.ConnsPerGuestPerNIC = connsFor(cfg.Guests)
 	}
 	return Build(cfg)
 }
@@ -309,16 +309,16 @@ func (m *Machine) Config() Config { return m.cfg }
 // schedule).
 func (m *Machine) Launch() { m.Work.Launch(m.cfg.Warmup) }
 
-// RunTo advances the simulation to absolute time t: directly on the
-// single engine, or in barrier-synchronized rounds across the engine
-// shards (shards.go).
-func (m *Machine) RunTo(t sim.Time) {
-	if len(m.engines) > 1 {
-		m.runShards(t)
-		return
-	}
-	m.Eng.Run(t)
-}
+// RunTo advances the simulation to absolute time t.
+func (m *Machine) RunTo(t sim.Time) { m.Eng.Run(t) }
+
+// Shards returns 1: every machine runs on one engine. It stays for the
+// perfbench harness (a separate module), which checks it before
+// attaching its per-event tracer.
+func (m *Machine) Shards() int { return 1 }
+
+// TotalFired returns the events the machine's engine has executed.
+func (m *Machine) TotalFired() uint64 { return m.Eng.Fired() }
 
 // OpenWindow opens the measurement window: per-host components are
 // reset in host order (single-host configurations take exactly the
@@ -369,17 +369,17 @@ func (m *Machine) Collect() Result {
 		Profile:     m.profile(),
 		Retransmits: m.Conns.Retransmits(),
 		Fairness:    m.Conns.FairnessIndex(),
-		Events:      m.TotalFired(),
+		Events:      m.Eng.Fired(),
 	}
 	res.PktPerSec = float64(m.Conns.DeliveredBytes()) / 1448 / cfg.Duration.Seconds()
 	res.LatencyP50us = m.Conns.LatencyQuantile(0.5)
 	res.LatencyP90us = m.Conns.LatencyQuantile(0.9)
-	res.RPCPerSec = m.Work.RequestsRate(cfg.Duration)
-	res.FlowsPerSec = m.Work.FlowsRate(cfg.Duration)
-	res.ArrivalsPerSec = m.Work.ArrivalsRate(cfg.Duration)
+	res.RPCPerSec = m.Work.Requests.Rate(cfg.Duration)
+	res.FlowsPerSec = m.Work.Flows.Rate(cfg.Duration)
+	res.ArrivalsPerSec = m.Work.Arrivals.Rate(cfg.Duration)
 	res.TraceSkipped = m.Work.TraceSkipped()
-	res.MsgLatP50us = m.Work.LatencyQuantile(0.5)
-	res.MsgLatP99us = m.Work.LatencyQuantile(0.99)
+	res.MsgLatP50us = m.Work.Latency.Quantile(0.5)
+	res.MsgLatP99us = m.Work.Latency.Quantile(0.99)
 	for _, h := range m.Hosts {
 		if h.Hyp != nil {
 			res.PhysIRQPerSec += h.Hyp.PhysIRQs.Rate(cfg.Duration)

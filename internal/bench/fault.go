@@ -134,13 +134,13 @@ func (f FaultSpec) withDefaults(duration sim.Time) FaultSpec {
 	return f
 }
 
-// validate checks the spec against a configuration's topology.
+// validate checks a defaulted spec against a configuration's topology.
 func (f FaultSpec) validate(cfg Config) error {
 	if f.Kind == FaultNone {
 		return nil
 	}
-	if f.After < 0 || f.Outage <= 0 {
-		return fmt.Errorf("bench: fault needs a non-negative offset and a positive outage (got %v+%v)", f.After, f.Outage)
+	if f.Outage <= 0 {
+		return fmt.Errorf("bench: fault needs a positive outage (got %v)", f.Outage)
 	}
 	if f.After+f.Outage >= cfg.Duration {
 		return fmt.Errorf("bench: fault %v+%v does not heal inside the %v measurement window", f.After, f.Outage, cfg.Duration)
@@ -197,39 +197,18 @@ func (fi *faultInjector) arm(spec FaultSpec) {
 	}
 	fi.phase = 1
 	fi.armAfter(spec.After)
-	fi.m.solos = fi.soloTimes(fi.m.Eng.Now())
 }
 
 // armAfter arms the fault timer d from now. Multi-host machines use a
 // keyed sequence so the fault orders after every ordinary event at its
-// instant — the order the shard coordinator's solo round reproduces,
-// which is what lets a fault mutate other shards' state (links, fabric
-// ports) while they are parked.
+// instant, keyed fabric deliveries included: the links and ports it
+// fails see that instant's traffic first.
 func (fi *faultInjector) armAfter(d sim.Time) {
 	if fi.m.cfg.Hosts > 1 {
 		fi.tm.ArmKeyed(fi.m.Eng.Now()+d, sim.SeqBand|faultKeyBand|uint64(fi.phase))
 		return
 	}
 	fi.tm.ArmAfter(d)
-}
-
-// soloTimes returns the absolute instants at which the injector still
-// fires, given its phase. OpenWindow arms at the window-open instant,
-// so the schedule is static — which also lets Restore recompute it
-// from the snapshot's phase alone.
-func (fi *faultInjector) soloTimes(windowOpen sim.Time) []sim.Time {
-	if fi.spec.Kind == FaultNone {
-		return nil
-	}
-	inject := windowOpen + fi.spec.After
-	heal := inject + fi.spec.Outage
-	switch fi.phase {
-	case 1:
-		return []sim.Time{inject, heal}
-	case 2:
-		return []sim.Time{heal}
-	}
-	return nil
 }
 
 func (fi *faultInjector) fire() {

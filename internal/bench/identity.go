@@ -12,13 +12,13 @@ package bench
 // applies before building a machine (default fault schedule, balanced
 // connection count, default calibration), so two configurations that
 // run identically normalize identically. Invalid configurations are
-// rejected, mirroring Run.
+// rejected before any default is filled in.
 func Normalize(cfg Config) (Config, error) {
-	cfg.Fault = cfg.Fault.withDefaults(cfg.Duration)
 	if err := cfg.Validate(); err != nil {
 		return Config{}, err
 	}
-	if cfg.ConnsPerGuestPerNIC <= 0 {
+	cfg.Fault = cfg.Fault.withDefaults(cfg.Duration)
+	if cfg.ConnsPerGuestPerNIC == 0 {
 		cfg.ConnsPerGuestPerNIC = connsFor(cfg.Guests)
 	}
 	if cfg.Cal == (Calibration{}) {

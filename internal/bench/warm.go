@@ -42,13 +42,10 @@ func RunWarmForked(cfgs []Config) ([]Outcome, WarmStats, error) {
 		// normalization here is only for validation and grouping —
 		// Prepare re-applies it inside runForked.
 		outs[i].Config = cfg
-		cfg.Fault = cfg.Fault.withDefaults(cfg.Duration)
-		if err := cfg.Validate(); err != nil {
+		cfg, err := Normalize(cfg)
+		if err != nil {
 			outs[i].Err = err
 			continue
-		}
-		if cfg.ConnsPerGuestPerNIC <= 0 {
-			cfg.ConnsPerGuestPerNIC = connsFor(cfg.Guests)
 		}
 		base := warmBase(cfg)
 		if _, ok := groups[base]; !ok {

@@ -297,7 +297,7 @@ func TestGridSize(t *testing.T) {
 	}
 	wide := make([]int, 100)
 	huge := Grid{
-		Guests: wide, NICCounts: wide, Hosts: wide, Shards: wide,
+		Guests: wide, NICCounts: wide, Hosts: wide,
 		MaxEnqueueBatches: wide, TxCoalesce: wide,
 		Modes:         make([]bench.Mode, 100),
 		NICs:          make([]bench.NICKind, 100),
@@ -307,44 +307,43 @@ func TestGridSize(t *testing.T) {
 		IRQDeliveries: make([]bool, 100),
 	}
 	if got := huge.Size(); got != math.MaxInt {
-		t.Errorf("100^12-point grid Size = %d; want saturation at MaxInt", got)
+		t.Errorf("100^11-point grid Size = %d; want saturation at MaxInt", got)
 	}
 }
 
-// TestShardAxisCollapse pins the engine-partition axis semantics: a
-// shard axis crossed with a host axis applies only to multi-host
-// points and collapses to 1 (no duplicate points) wherever there is a
-// single host and therefore a single engine.
-func TestShardAxisCollapse(t *testing.T) {
-	g := Grid{
-		Modes:  []bench.Mode{bench.ModeCDNA},
-		Dirs:   []bench.Direction{bench.Tx},
-		Hosts:  []int{1, 4},
-		Shards: []int{2, 4},
+// TestValidateRejectsNegatives pins the campaign half of the one
+// validation boundary: zero keeps meaning "use the default", but a
+// negative count, window or time anywhere in a sweep is rejected before
+// expansion could collapse it into that default (a negative host count
+// into the single-host topology, a negative window into 48).
+func TestValidateRejectsNegatives(t *testing.T) {
+	base := Grid{Modes: []bench.Mode{bench.ModeCDNA}, Hosts: []int{0, 1, 4}}
+	if err := Validate(0, 0, base); err != nil {
+		t.Fatalf("zero-default grid rejected: %v", err)
 	}
-	cfgs := g.Points()
-	// 1 single-host point (shards collapsed) + 2 four-host points.
-	if len(cfgs) != 3 {
-		t.Fatalf("grid expands to %d points, want 3", len(cfgs))
-	}
-	var got []int
-	for _, c := range cfgs {
-		if c.Hosts <= 1 && c.Shards != 0 && c.Shards != 1 {
-			t.Errorf("single-host point carries shards=%d", c.Shards)
+	for name, g := range map[string]Grid{
+		"hosts":    {Hosts: []int{4, -3}},
+		"guests":   {Guests: []int{-1}},
+		"niccount": {NICCounts: []int{-2}},
+		"batches":  {MaxEnqueueBatches: []int{-1}},
+		"coalesce": {TxCoalesce: []int{-4}},
+		"conns":    {Conns: -2},
+		"window":   {Window: -3},
+		"warmup":   {Warmup: -1},
+		"duration": {Duration: -1},
+		"fault-at": {Faults: []bench.FaultSpec{{Kind: bench.FaultLinkFlap, After: -1}}},
+		"outage":   {Faults: []bench.FaultSpec{{Kind: bench.FaultLinkFlap, Outage: -1}}},
+		"target":   {Faults: []bench.FaultSpec{{Kind: bench.FaultLinkFlap, Target: -1}}},
+	} {
+		if err := Validate(0, 0, base, g); err == nil {
+			t.Errorf("%s: negative grid value accepted", name)
 		}
-		if c.Hosts > 1 {
-			got = append(got, c.Shards)
-		}
 	}
-	if len(got) != 2 || got[0] != 2 || got[1] != 4 {
-		t.Errorf("multi-host shard points = %v, want [2 4]", got)
+	if err := Validate(-1, 0, base); err == nil {
+		t.Error("negative warmup override accepted")
 	}
-
-	// An empty shard axis leaves every point on the single engine.
-	for _, c := range (Grid{Modes: []bench.Mode{bench.ModeCDNA}, Hosts: []int{4}}).Points() {
-		if c.Shards > 1 {
-			t.Errorf("default grid point carries shards=%d", c.Shards)
-		}
+	if err := Validate(0, -1, base); err == nil {
+		t.Error("negative duration override accepted")
 	}
 }
 

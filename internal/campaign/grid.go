@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"fmt"
 	"math"
 
 	"cdna/internal/bench"
@@ -36,14 +37,6 @@ type Grid struct {
 	// the single ToR switch. Multi-tier specs are collapsed out of
 	// single-host points, which have no cross-host fabric to shape.
 	Fabrics []topo.FabricSpec `json:"fabrics,omitempty"`
-
-	// Shards is the engine-partition axis (bench.Config.Shards): how
-	// many event-queue shards execute each multi-host point. A pure
-	// wall-clock knob — results are byte-identical at any value — so it
-	// never enters experiment identity (Name, JSON records); a
-	// multi-valued axis is a built-in differential check. Collapsed to 1
-	// for single-host points, which have nothing to partition.
-	Shards []int `json:"shards,omitempty"`
 
 	// Workloads is the traffic-shape axis; empty collapses to the
 	// default bulk workload (the paper's benchmark).
@@ -157,16 +150,6 @@ func (g Grid) fabricsFor(hosts int) []topo.FabricSpec {
 	return specs
 }
 
-// shardsFor collapses the engine-partition axis for single-host
-// points: one host means one engine, so any requested shard count
-// degenerates to 1 and would only duplicate the point.
-func (g Grid) shardsFor(hosts int) []int {
-	if hosts <= 1 || len(g.Shards) == 0 {
-		return []int{1}
-	}
-	return g.Shards
-}
-
 // nicsFor returns the NIC axis for one mode: only Xen supports both
 // device models; native always drives the Intel NIC and CDNA always
 // the RiceNIC, so their NIC axis collapses.
@@ -220,47 +203,44 @@ func (g Grid) Points() []bench.Config {
 								for _, pat := range g.patternsFor(hosts) {
 									for _, fab := range g.fabricsFor(hosts) {
 										for _, flt := range g.faultsFor(hosts) {
-											for _, shards := range g.shardsFor(hosts) {
-												for _, prot := range g.protectionsFor(mode) {
-													for _, batch := range batches {
-														for _, irq := range irqs {
-															for _, coal := range coals {
-																cfg := bench.DefaultConfig(mode, nic, dir)
-																cfg.Workload = wl
-																cfg.Guests = gs
-																cfg.NICs = nn
-																if hosts > 1 {
-																	cfg.Hosts = hosts
-																	cfg.Pattern = pat
-																	cfg.Shards = shards
-																	cfg.Fabric = fab
-																}
-																cfg.Fault = flt
-																cfg.Protection = prot
-																cfg.MaxEnqueueBatch = batch
-																cfg.DirectPerContextIRQ = irq
-																cfg.TxCoalescePkts = coal
-																cfg.ConnsPerGuestPerNIC = g.Conns
-																// Invalid guest counts stay as-is here and fail
-																// Config.Validate with a per-point error record.
-																if g.Conns <= 0 && gs >= 1 {
-																	cfg.ConnsPerGuestPerNIC = bench.BalancedConns(gs)
-																}
-																if g.Window > 0 {
-																	cfg.Window = g.Window
-																}
-																if g.Warmup > 0 {
-																	cfg.Warmup = g.Warmup
-																}
-																if g.Duration > 0 {
-																	cfg.Duration = g.Duration
-																}
-																key := cfg
-																key.Cal = bench.Calibration{}
-																if !seen[key] {
-																	seen[key] = true
-																	cfgs = append(cfgs, cfg)
-																}
+											for _, prot := range g.protectionsFor(mode) {
+												for _, batch := range batches {
+													for _, irq := range irqs {
+														for _, coal := range coals {
+															cfg := bench.DefaultConfig(mode, nic, dir)
+															cfg.Workload = wl
+															cfg.Guests = gs
+															cfg.NICs = nn
+															if hosts > 1 {
+																cfg.Hosts = hosts
+																cfg.Pattern = pat
+																cfg.Fabric = fab
+															}
+															cfg.Fault = flt
+															cfg.Protection = prot
+															cfg.MaxEnqueueBatch = batch
+															cfg.DirectPerContextIRQ = irq
+															cfg.TxCoalescePkts = coal
+															cfg.ConnsPerGuestPerNIC = g.Conns
+															// Invalid guest counts stay as-is here and fail
+															// Config.Validate with a per-point error record.
+															if g.Conns <= 0 && gs >= 1 {
+																cfg.ConnsPerGuestPerNIC = bench.BalancedConns(gs)
+															}
+															if g.Window > 0 {
+																cfg.Window = g.Window
+															}
+															if g.Warmup > 0 {
+																cfg.Warmup = g.Warmup
+															}
+															if g.Duration > 0 {
+																cfg.Duration = g.Duration
+															}
+															key := cfg
+															key.Cal = bench.Calibration{}
+															if !seen[key] {
+																seen[key] = true
+																cfgs = append(cfgs, cfg)
 															}
 														}
 													}
@@ -288,7 +268,7 @@ func (g Grid) Size() int {
 	for _, l := range []int{
 		len(g.Modes), len(g.NICs), len(g.Dirs), len(g.Guests), len(g.NICCounts),
 		len(g.Protections), len(g.Hosts), len(g.Patterns), len(g.Fabrics),
-		len(g.Shards), len(g.Workloads), len(g.Faults),
+		len(g.Workloads), len(g.Faults),
 		len(g.MaxEnqueueBatches), len(g.IRQDeliveries), len(g.TxCoalesce),
 	} {
 		l = max(l, 1)
@@ -298,6 +278,54 @@ func (g Grid) Size() int {
 		n *= l
 	}
 	return n
+}
+
+// Validate rejects a sweep whose grids or window overrides hold a
+// negative count, window or time. Zero means "use the default" on every
+// axis and override, but Points and Apply would silently collapse a
+// negative value into that default too (a negative host count into the
+// single-host topology, a negative window into 48), so sweeps are
+// checked here, before anything is expanded: cmd/cdnasweep and the
+// sweep daemon both call it on what they are handed. Other invalid
+// points (zero guests, say) still expand and fail one by one in
+// bench.Config.Validate, as per-point error records.
+func Validate(warmup, duration sim.Time, grids ...Grid) error {
+	if warmup < 0 || duration < 0 {
+		return fmt.Errorf("campaign: negative measurement window (warmup %v, duration %v)", warmup, duration)
+	}
+	for _, g := range grids {
+		if err := g.validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// validate checks one grid's numeric axes and overrides for negatives.
+func (g Grid) validate() error {
+	for _, ax := range []struct {
+		name string
+		vals []int
+	}{
+		{"guests", g.Guests}, {"nic_counts", g.NICCounts}, {"hosts", g.Hosts},
+		{"max_enqueue_batches", g.MaxEnqueueBatches}, {"tx_coalesce_pkts", g.TxCoalesce},
+		{"conns_per_guest_per_nic", []int{g.Conns}}, {"window", []int{g.Window}},
+	} {
+		for _, v := range ax.vals {
+			if v < 0 {
+				return fmt.Errorf("campaign: grid %s holds negative value %d", ax.name, v)
+			}
+		}
+	}
+	if g.Warmup < 0 || g.Duration < 0 {
+		return fmt.Errorf("campaign: grid has a negative measurement window (warmup %v, duration %v)", g.Warmup, g.Duration)
+	}
+	for _, f := range g.Faults {
+		if f.After < 0 || f.Outage < 0 || f.Target < 0 {
+			return fmt.Errorf("campaign: grid fault %v has a negative schedule or target (%v+%v, target %d)", f.Kind, f.After, f.Outage, f.Target)
+		}
+	}
+	return nil
 }
 
 // Expand concatenates the expansions of several grids, deduplicating

@@ -470,6 +470,10 @@ func (d *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Sprintf("sweep request spans more than %d points", MaxSweepPoints), false)
 		return
 	}
+	if err := campaign.Validate(req.Warmup, req.Duration, req.Grids...); err != nil {
+		writeErr(w, http.StatusBadRequest, err.Error(), false)
+		return
+	}
 	id, err := req.ID()
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err.Error(), false)

@@ -247,6 +247,45 @@ func TestSubmitInputBounds(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsInvalidGrids: a grid field the schema does not
+// define, such as "shards", and a negative count, window or time are
+// request errors — a final 400 before anything is queued — rather than
+// a sweep that silently runs defaults.
+func TestSubmitRejectsInvalidGrids(t *testing.T) {
+	dir := shortDir(t)
+	d, c := startDaemon(t, testConfig(dir))
+	if _, err := c.DaemonStatus(); err != nil { // waits out the daemon's startup
+		t.Fatal(err)
+	}
+
+	body := []byte(`{"grids":[{"modes":["cdna"],"hosts":[4],"shards":[2]}],"duration_ns":50000000}`)
+	if code, ae := postRaw(t, c, body); code != http.StatusBadRequest || ae.Retryable {
+		t.Fatalf("grid with a shards axis got %d (retryable %v); want a final 400", code, ae.Retryable)
+	}
+	for name, mutate := range map[string]func(*SweepRequest){
+		"hosts":    func(r *SweepRequest) { r.Grids[0].Hosts = []int{-3} },
+		"window":   func(r *SweepRequest) { r.Grids[0].Window = -3 },
+		"conns":    func(r *SweepRequest) { r.Grids[0].Conns = -2 },
+		"duration": func(r *SweepRequest) { r.Duration = -1 },
+		"fault-at": func(r *SweepRequest) {
+			r.Grids[0].Faults = []bench.FaultSpec{{Kind: bench.FaultLinkFlap, After: -1}}
+		},
+	} {
+		req := distinctReqs(1)[0]
+		mutate(&req)
+		if code, ae := submitRaw(t, c, req); code != http.StatusBadRequest || ae.Retryable {
+			t.Errorf("negative %s got %d (retryable %v); want a final 400", name, code, ae.Retryable)
+		}
+	}
+
+	d.mu.Lock()
+	n := len(d.sweeps)
+	d.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("daemon holds %d sweeps after rejected submissions; want 0", n)
+	}
+}
+
 // distinctReqs returns n sweep requests with distinct content (distinct
 // guest counts), each a single experiment.
 func distinctReqs(n int) []SweepRequest {

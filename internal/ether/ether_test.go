@@ -1,6 +1,7 @@
 package ether
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -309,5 +310,68 @@ func TestBridgeSingleDeliveryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestPipeDownReleasesDroppedFrames(t *testing.T) {
+	eng := sim.New()
+	p := NewPipe(eng, 1.0, 0)
+	p.SetDown(true)
+	if !p.Down() {
+		t.Fatal("SetDown(true) not reported by Down()")
+	}
+	a := NewArena()
+	f := a.Get(MakeMAC(0, 1), MakeMAC(0, 2), 100, nil)
+	p.Send(f)
+	if p.Dropped.Total() != 1 {
+		t.Fatalf("Dropped = %d, want 1", p.Dropped.Total())
+	}
+	if a.FreeLen() != 1 {
+		t.Fatal("down-link drop leaked the frame")
+	}
+	p.SetDown(false)
+
+	// With no port connected, delivery releases the frame instead of
+	// leaking it.
+	f2 := a.Get(MakeMAC(0, 1), MakeMAC(0, 2), 100, nil)
+	p.Send(f2)
+	eng.Run(eng.Now() + sim.Millisecond)
+	if a.FreeLen() != 1 {
+		t.Fatal("portless delivery leaked the frame")
+	}
+}
+
+// TestKeyedDeliveryOrder pins keyed delivery sequencing: two keyed
+// pipes whose frames land at the same instant deliver in (pipe
+// identity, send order), whatever order their events were scheduled
+// in. Here the higher-ID pipe sends first, so scheduling order alone
+// would deliver its frames first.
+func TestKeyedDeliveryOrder(t *testing.T) {
+	eng := sim.New()
+	lo := NewPipe(eng, 1.0, 500*sim.Nanosecond)
+	hi := NewPipe(eng, 1.0, 500*sim.Nanosecond)
+	lo.EnableKeyed(3)
+	hi.EnableKeyed(7)
+
+	var got []string
+	port := func(name string) Port {
+		return PortFunc(func(f *Frame) { got = append(got, fmt.Sprintf("%s%d", name, f.Size)) })
+	}
+	lo.Connect(port("lo"))
+	hi.Connect(port("hi"))
+
+	// Equal frame sizes on idle wires at equal rates: the k-th frame of
+	// each pipe lands at the same instant as the other pipe's k-th.
+	for _, size := range []int{100, 101} {
+		hi.Send(&Frame{Src: MakeMAC(0, 1), Dst: MakeMAC(0, 2), Size: size})
+	}
+	for _, size := range []int{100, 101} {
+		lo.Send(&Frame{Src: MakeMAC(0, 3), Dst: MakeMAC(0, 4), Size: size})
+	}
+	eng.Run(eng.Now() + sim.Millisecond)
+
+	want := []string{"lo100", "hi100", "lo101", "hi101"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("keyed delivery order = %v, want %v", got, want)
 	}
 }

@@ -167,8 +167,8 @@ func (e *Engine) Fired() uint64 { return e.fired }
 func (e *Engine) Pending() int { return e.q.len() }
 
 // NextAt returns the timestamp of the earliest pending event, and false
-// if the queue is empty. Shard coordinators use it to bound how early a
-// stopped engine could possibly act again (its lookahead anchor).
+// if the queue is empty. Tracing drivers use it to step the engine
+// one event instant at a time.
 func (e *Engine) NextAt() (Time, bool) {
 	ev := e.q.peek()
 	if ev == nil {
@@ -231,9 +231,11 @@ const SeqBand uint64 = 1 << 62
 // AtFnKeyed schedules a registered callback at absolute time t with an
 // explicit sequence key instead of the engine counter. The key decides
 // ordering among same-time events, which makes the order a pure function
-// of the caller's key assignment — the property the sharded runtime
-// needs so that an event injected at a barrier sorts identically to one
-// scheduled mid-round on a single engine. Keys must have SeqBand set
+// of the caller's key assignment rather than of which component
+// happened to schedule first. Fabric pipes key deliveries by (pipe
+// identity, send order) this way (ether.Pipe.EnableKeyed), so
+// same-instant arrivals on different pipes always run in the same
+// order. Keys must have SeqBand set
 // (checked) and be unique among pending events; the engine counter is
 // not consumed.
 func (e *Engine) AtFnKeyed(t Time, name string, fn Fn, key uint64) Handle {

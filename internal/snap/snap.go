@@ -23,7 +23,7 @@ import (
 // Version is the snapshot format version. Bump it whenever any layer's
 // state image changes shape; old images are then refused instead of
 // being mis-decoded.
-const Version = 1
+const Version = 2
 
 // magic guards against feeding arbitrary files to Decode.
 const magic = "CDNASNAP"

@@ -49,8 +49,8 @@ type Generator struct {
 	trace *FlowTrace
 	// traceSkipped counts trace events with no matching endpoint.
 	traceSkipped int
-	// traceDone guards the one-shot trace assignment for a standalone
-	// generator (a Fleet assigns machine-globally instead).
+	// traceDone guards the one-shot trace assignment (Launch or
+	// SetState, whichever runs first).
 	traceDone bool
 
 	// Requests counts completed RPC exchanges (RequestResponse).
@@ -125,14 +125,7 @@ func (g *Generator) NeedsReverse() bool { return g.spec.Kind == RequestResponse 
 // order (the machine builder's wiring order); each gets its own jitter
 // RNG stream derived from the spec seed and its index, so traffic is
 // identical run-to-run and independent of campaign parallelism.
-func (g *Generator) Add(ep Endpoint) error { return g.addIndexed(len(g.eps), ep) }
-
-// addIndexed registers an endpoint whose jitter RNG stream derives from
-// the given index instead of the local registration count. A Fleet
-// passes the machine-global endpoint index so a sharded machine's
-// traffic is identical to the single-engine machine's, where global and
-// local indices coincide.
-func (g *Generator) addIndexed(rngIdx int, ep Endpoint) error {
+func (g *Generator) Add(ep Endpoint) error {
 	if ep.Fwd == nil {
 		return fmt.Errorf("workload: endpoint needs a forward connection")
 	}
@@ -140,7 +133,7 @@ func (g *Generator) addIndexed(rngIdx int, ep Endpoint) error {
 		return fmt.Errorf("workload: %v workload needs a reverse connection", g.spec.Kind)
 	}
 	e := &endpoint{g: g, Endpoint: ep}
-	e.rng = sim.NewRNG(g.spec.Seed + uint64(rngIdx)*0x9e3779b97f4a7c15)
+	e.rng = sim.NewRNG(g.spec.Seed + uint64(len(g.eps))*0x9e3779b97f4a7c15)
 	switch g.spec.Kind {
 	case Bulk:
 		e.startFn = g.eng.Bind(ep.Fwd.Start)
@@ -175,21 +168,31 @@ func (g *Generator) addIndexed(rngIdx int, ep Endpoint) error {
 // exactly: the same "conn.start" events at the same times in the same
 // order.
 func (g *Generator) Launch(warmup sim.Time) {
-	if g.spec.Kind == Trace && !g.traceDone {
-		g.traceDone = true
-		g.traceSkipped = assignTrace(g.trace, g.eps)
-	}
+	g.assignTraceOnce()
 	n := len(g.eps)
 	for i, e := range g.eps {
 		g.launchOne(e, launchAt(warmup, i, n))
 	}
 }
 
+// assignTraceOnce distributes the trace's events over the endpoint
+// roster (Trace kind only). It runs once: from Launch on a cold start,
+// or from SetState on a restore — a restored machine is never launched
+// (its timers ride the engine snapshot), but the replay cursor still
+// needs the assigned rows to index into.
+func (g *Generator) assignTraceOnce() {
+	if g.spec.Kind != Trace || g.traceDone {
+		return
+	}
+	g.traceDone = true
+	g.traceSkipped = assignTrace(g.trace, g.eps)
+}
+
 // TraceSkipped returns how many trace events had no matching endpoint
 // (valid after Launch for the Trace kind).
 func (g *Generator) TraceSkipped() int { return g.traceSkipped }
 
-// launchAt returns the staggered start time of global endpoint i of n:
+// launchAt returns the staggered start time of endpoint i of n:
 // offset past driver initialization (initial receive-buffer posting),
 // then spread over the first part of warmup.
 func launchAt(warmup sim.Time, i, n int) sim.Time {

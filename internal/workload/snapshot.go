@@ -70,8 +70,10 @@ func (g *Generator) State() GeneratorState {
 }
 
 // SetState restores the generator into a freshly built machine with the
-// same endpoint roster.
+// same endpoint roster. A Trace generator first assigns its trace, as
+// Launch would on a cold start.
 func (g *Generator) SetState(s GeneratorState) error {
+	g.assignTraceOnce()
 	if len(s.Endpoints) != len(g.eps) {
 		return fmt.Errorf("workload: endpoint roster mismatch: snapshot has %d, machine has %d",
 			len(s.Endpoints), len(g.eps))
