@@ -48,7 +48,7 @@ func (nb *Netback) State(codec ether.PayloadCodec) (State, error) {
 	for i, v := range nb.vifs {
 		vs := VifState{NotifyQd: v.notifyQd, Visiting: v.visiting,
 			Front: NetfrontState{NotifyQd: v.Front.notifyQd}}
-		if vs.TxQ, err = ether.CaptureFrames(v.txQ, codec); err != nil {
+		if vs.TxQ, err = ether.CaptureFrameFIFO(&v.txQ, codec); err != nil {
 			return State{}, err
 		}
 		if vs.RxQ, err = ether.CaptureFrames(v.rxQ, codec); err != nil {
@@ -85,7 +85,7 @@ func (nb *Netback) SetState(s State, codec ether.PayloadCodec) error {
 	for i, vs := range s.Vifs {
 		v := nb.vifs[i]
 		var err error
-		if v.txQ, err = ether.RestoreFrames(vs.TxQ, codec); err != nil {
+		if err = ether.RestoreFrameFIFO(&v.txQ, vs.TxQ, codec); err != nil {
 			return err
 		}
 		if v.rxQ, err = ether.RestoreFrames(vs.RxQ, codec); err != nil {

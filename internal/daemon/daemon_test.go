@@ -200,9 +200,14 @@ func submitRaw(t *testing.T, c *Client, req SweepRequest) (int, apiError) {
 	return postRaw(t, c, b)
 }
 
-// postRaw posts body verbatim to the submit endpoint.
+// postRaw posts body verbatim to the submit endpoint. It first waits
+// (through the client's retrying status call) until the daemon answers:
+// its Serve goroutine may not have bound the socket yet.
 func postRaw(t *testing.T, c *Client, body []byte) (int, apiError) {
 	t.Helper()
+	if _, err := c.DaemonStatus(); err != nil {
+		t.Fatal(err)
+	}
 	resp, err := c.hc.Post("http://daemon/v1/sweeps", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

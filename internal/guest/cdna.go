@@ -142,16 +142,22 @@ func (d *CDNADriver) takeStaged() []stagedPkt {
 }
 
 func (d *CDNADriver) takeDescs(n int) []ring.Desc {
-	// Pop only when the pooled buffer is big enough; an undersized one
-	// stays pooled (its eventual larger replacement lands above it and
-	// serves future takes), instead of being dropped and reallocated.
+	// Always pop the top buffer. One too short for this batch is
+	// replaced by one at least twice its size (at most the ring's, the
+	// largest batch Enqueue accepts), so pooled buffers grow
+	// geometrically and takes stop allocating once each covers the
+	// largest batch. Leaving a short buffer pooled instead would block
+	// larger takes behind it and grow the pool without bound.
+	c := n
 	if k := len(d.descFree); k > 0 {
-		if b := d.descFree[k-1]; cap(b) >= n {
-			d.descFree = d.descFree[:k-1]
+		b := d.descFree[k-1]
+		d.descFree = d.descFree[:k-1]
+		if cap(b) >= n {
 			return b[:n]
 		}
+		c = max(n, min(2*cap(b), RingEntries))
 	}
-	return make([]ring.Desc, n)
+	return make([]ring.Desc, n, c)
 }
 
 // MAC implements NetDevice: the context's unique Ethernet address.

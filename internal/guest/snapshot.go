@@ -23,13 +23,6 @@ type SlotFrame struct {
 	Frame ether.FrameState
 }
 
-// IdxPFN is one entry of an index→buffer-page map, serialized sorted by
-// index for determinism.
-type IdxPFN struct {
-	Idx uint32
-	PFN mem.PFN
-}
-
 // StagedPktState is one staged transmit packet.
 type StagedPktState struct {
 	Desc  ring.Desc
@@ -111,17 +104,10 @@ func (d *CDNADriver) State(codec ether.PayloadCodec) (CDNADriverState, error) {
 		TxDropped:   d.TxDropped.State(),
 		EnqueueErrs: d.EnqueueErrs.State(),
 	}
-	for i, f := range d.inflight {
-		if f == nil {
-			continue
-		}
-		fs, err := ether.CaptureFrame(f, codec)
-		if err != nil {
-			return CDNADriverState{}, err
-		}
-		s.Inflight = append(s.Inflight, SlotFrame{Slot: uint32(i), Frame: fs})
-	}
 	var err error
+	if s.Inflight, err = captureSlotFrames(d.inflight, codec); err != nil {
+		return CDNADriverState{}, err
+	}
 	if s.Backlog, err = ether.CaptureFrameFIFO(&d.backlog, codec); err != nil {
 		return CDNADriverState{}, err
 	}
@@ -149,27 +135,11 @@ func (d *CDNADriver) State(codec ether.PayloadCodec) (CDNADriverState, error) {
 
 // SetState restores the driver into a freshly built machine.
 func (d *CDNADriver) SetState(s CDNADriverState, codec ether.PayloadCodec) error {
-	if len(s.TxBufs) != len(d.txBufs) || len(s.RxBufs) != len(d.rxBufs) {
-		return fmt.Errorf("guest: cdna slot-table size mismatch: snapshot has %d/%d, machine has %d/%d",
-			len(s.TxBufs), len(s.RxBufs), len(d.txBufs), len(d.rxBufs))
+	if err := restoreSlotTables(d.txBufs, d.rxBufs, d.inflight, s.TxBufs, s.RxBufs, s.Inflight, codec); err != nil {
+		return err
 	}
 	d.txPool = append(d.txPool[:0], s.TxPool...)
 	d.rxPool = append(d.rxPool[:0], s.RxPool...)
-	copy(d.txBufs, s.TxBufs)
-	copy(d.rxBufs, s.RxBufs)
-	for i := range d.inflight {
-		d.inflight[i] = nil
-	}
-	for _, sf := range s.Inflight {
-		if sf.Slot >= uint32(len(d.inflight)) {
-			return fmt.Errorf("guest: cdna inflight slot %d out of range", sf.Slot)
-		}
-		f, err := ether.RestoreFrame(sf.Frame, codec)
-		if err != nil {
-			return err
-		}
-		d.inflight[sf.Slot] = f
-	}
 	if err := ether.RestoreFrameFIFO(&d.backlog, s.Backlog, codec); err != nil {
 		return err
 	}
@@ -202,11 +172,11 @@ func (d *CDNADriver) SetState(s CDNADriverState, codec ether.PayloadCodec) error
 	return nil
 }
 
-// NativeDriverState is the conventional driver's checkpoint image. The
-// buffer/frame maps serialize sorted by ring index.
+// NativeDriverState is the conventional driver's checkpoint image, in
+// the same slot-table form as CDNADriverState.
 type NativeDriverState struct {
 	TxPool, RxPool []mem.PFN
-	TxBufs, RxBufs []IdxPFN
+	TxBufs, RxBufs []mem.PFN // RingEntries slots; PFN 0 = empty
 	Inflight       []SlotFrame
 
 	LastTxCons, LastRxCons uint32
@@ -219,23 +189,46 @@ type NativeDriverState struct {
 	TxDropped stats.CounterState
 }
 
-func capturePFNMap(m map[uint32]mem.PFN) []IdxPFN {
-	out := make([]IdxPFN, 0, len(m))
-	for idx, pfn := range m {
-		out = append(out, IdxPFN{Idx: idx, PFN: pfn})
+// captureSlotFrames images the occupied slots of a nil-holed frame table.
+func captureSlotFrames(frames []*ether.Frame, codec ether.PayloadCodec) ([]SlotFrame, error) {
+	var out []SlotFrame
+	for i, f := range frames {
+		if f == nil {
+			continue
+		}
+		fs, err := ether.CaptureFrame(f, codec)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, SlotFrame{Slot: uint32(i), Frame: fs})
 	}
-	sortIdxPFN(out)
-	return out
+	return out, nil
 }
 
-func sortIdxPFN(s []IdxPFN) {
-	// Tiny insertion sort keeps this file free of a sort import for one
-	// call site; maps hold at most RingEntries entries.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].Idx < s[j-1].Idx; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
+// restoreSlotTables refills a driver's slot tables from an image,
+// refusing one taken from a machine with a different table size.
+func restoreSlotTables(txBufs, rxBufs []mem.PFN, frames []*ether.Frame,
+	sTx, sRx []mem.PFN, sFrames []SlotFrame, codec ether.PayloadCodec) error {
+	if len(sTx) != len(txBufs) || len(sRx) != len(rxBufs) {
+		return fmt.Errorf("guest: slot-table size mismatch: snapshot has %d/%d, machine has %d/%d",
+			len(sTx), len(sRx), len(txBufs), len(rxBufs))
 	}
+	copy(txBufs, sTx)
+	copy(rxBufs, sRx)
+	for i := range frames {
+		frames[i] = nil
+	}
+	for _, sf := range sFrames {
+		if sf.Slot >= uint32(len(frames)) {
+			return fmt.Errorf("guest: inflight slot %d out of range", sf.Slot)
+		}
+		f, err := ether.RestoreFrame(sf.Frame, codec)
+		if err != nil {
+			return err
+		}
+		frames[sf.Slot] = f
+	}
+	return nil
 }
 
 // State captures the driver.
@@ -243,31 +236,18 @@ func (d *NativeDriver) State(codec ether.PayloadCodec) (NativeDriverState, error
 	s := NativeDriverState{
 		TxPool:       append([]mem.PFN(nil), d.txPool...),
 		RxPool:       append([]mem.PFN(nil), d.rxPool...),
-		TxBufs:       capturePFNMap(d.txBufs),
-		RxBufs:       capturePFNMap(d.rxBufs),
+		TxBufs:       append([]mem.PFN(nil), d.txBufs...),
+		RxBufs:       append([]mem.PFN(nil), d.rxBufs...),
 		LastTxCons:   d.lastTxCons,
 		LastRxCons:   d.lastRxCons,
 		KickQueued:   d.kickQueued,
 		RxKickQueued: d.rxKickQueued,
 		TxDropped:    d.TxDropped.State(),
 	}
-	idxs := make([]uint32, 0, len(d.inflight))
-	for idx := range d.inflight {
-		idxs = append(idxs, idx)
-	}
-	for i := 1; i < len(idxs); i++ {
-		for j := i; j > 0 && idxs[j] < idxs[j-1]; j-- {
-			idxs[j], idxs[j-1] = idxs[j-1], idxs[j]
-		}
-	}
-	for _, idx := range idxs {
-		fs, err := ether.CaptureFrame(d.inflight[idx], codec)
-		if err != nil {
-			return NativeDriverState{}, err
-		}
-		s.Inflight = append(s.Inflight, SlotFrame{Slot: idx, Frame: fs})
-	}
 	var err error
+	if s.Inflight, err = captureSlotFrames(d.inflight, codec); err != nil {
+		return NativeDriverState{}, err
+	}
 	if s.Backlog, err = ether.CaptureFrameFIFO(&d.backlog, codec); err != nil {
 		return NativeDriverState{}, err
 	}
@@ -282,24 +262,11 @@ func (d *NativeDriver) State(codec ether.PayloadCodec) (NativeDriverState, error
 
 // SetState restores the driver into a freshly built machine.
 func (d *NativeDriver) SetState(s NativeDriverState, codec ether.PayloadCodec) error {
+	if err := restoreSlotTables(d.txBufs, d.rxBufs, d.inflight, s.TxBufs, s.RxBufs, s.Inflight, codec); err != nil {
+		return err
+	}
 	d.txPool = append(d.txPool[:0], s.TxPool...)
 	d.rxPool = append(d.rxPool[:0], s.RxPool...)
-	d.txBufs = make(map[uint32]mem.PFN, len(s.TxBufs))
-	for _, e := range s.TxBufs {
-		d.txBufs[e.Idx] = e.PFN
-	}
-	d.rxBufs = make(map[uint32]mem.PFN, len(s.RxBufs))
-	for _, e := range s.RxBufs {
-		d.rxBufs[e.Idx] = e.PFN
-	}
-	d.inflight = make(map[uint32]*ether.Frame, len(s.Inflight))
-	for _, sf := range s.Inflight {
-		f, err := ether.RestoreFrame(sf.Frame, codec)
-		if err != nil {
-			return err
-		}
-		d.inflight[sf.Slot] = f
-	}
 	d.lastTxCons, d.lastRxCons = s.LastTxCons, s.LastRxCons
 	d.kickQueued, d.rxKickQueued = s.KickQueued, s.RxKickQueued
 	if err := ether.RestoreFrameFIFO(&d.backlog, s.Backlog, codec); err != nil {

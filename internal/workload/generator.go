@@ -77,12 +77,16 @@ type endpoint struct {
 	on      bool       // burst: currently in an on-period
 	startFn sim.Fn     // kind-appropriate Launch callback, bound at Add
 
-	// Open-loop state (Poisson, Pareto, Trace).
-	backlog   sim.FIFO[flowArrival] // arrivals waiting for the connection
-	inFlight  bool                  // a flow occupies the connection
-	trace     []TraceEvent          // this endpoint's assigned trace rows
-	cursor    int                   // next trace row to replay
-	traceBase sim.Time              // engine time of trace t=0
+	// Open-loop state (Poisson, Pareto, Trace). The backlog is a count
+	// plus what it takes to replay the waiting flows (see openloop.go):
+	// pending > 0 implies inFlight.
+	inFlight  bool         // a flow occupies the connection
+	pending   int          // arrivals waiting for the connection
+	head      sim.Time     // Poisson/Pareto: oldest waiting flow's arrival
+	replay    sim.RNG      // Poisson/Pareto: rng as of that flow's size draw
+	trace     []TraceEvent // this endpoint's assigned trace rows
+	cursor    int          // next trace row to replay
+	traceBase sim.Time     // engine time of trace t=0
 }
 
 // NewGenerator creates a generator for a resolved spec. Call

@@ -7,12 +7,6 @@ import (
 	"cdna/internal/stats"
 )
 
-// FlowArrivalState is one queued open-loop arrival in a checkpoint.
-type FlowArrivalState struct {
-	At   sim.Time
-	Segs int32
-}
-
 // EndpointState is one traffic slot's checkpoint image. The armed
 // think/gap/burst/arrival timer rides the engine snapshot via the timer
 // registry; this is the slot's own mutable state.
@@ -23,11 +17,15 @@ type EndpointState struct {
 
 	// Open-loop state (Poisson, Pareto, Trace). The assigned trace rows
 	// are rebuilt deterministically from the spec at restore; only the
-	// replay cursor and base rides the snapshot.
-	InFlight  bool               `json:",omitempty"`
-	Backlog   []FlowArrivalState `json:",omitempty"`
-	Cursor    int                `json:",omitempty"`
-	TraceBase sim.Time           `json:",omitempty"`
+	// replay cursor and base rides the snapshot. The backlog is its
+	// count plus, for Poisson/Pareto, the oldest waiting flow's arrival
+	// time and the RNG state its size draw replays from.
+	InFlight  bool     `json:",omitempty"`
+	Pending   int      `json:",omitempty"`
+	Head      sim.Time `json:",omitempty"`
+	Replay    uint64   `json:",omitempty"`
+	Cursor    int      `json:",omitempty"`
+	TraceBase sim.Time `json:",omitempty"`
 }
 
 // GeneratorState is the generator's checkpoint image.
@@ -49,22 +47,17 @@ func (g *Generator) State() GeneratorState {
 		Latency:   g.Latency.State(),
 	}
 	for i, e := range g.eps {
-		es := EndpointState{
+		s.Endpoints[i] = EndpointState{
 			RNG:       e.rng.State(),
 			T0:        e.t0,
 			On:        e.on,
 			InFlight:  e.inFlight,
+			Pending:   e.pending,
+			Head:      e.head,
+			Replay:    e.replay.State(),
 			Cursor:    e.cursor,
 			TraceBase: e.traceBase,
 		}
-		if n := e.backlog.Len(); n > 0 {
-			es.Backlog = make([]FlowArrivalState, n)
-			for j := 0; j < n; j++ {
-				fa := e.backlog.At(j)
-				es.Backlog[j] = FlowArrivalState{At: fa.at, Segs: fa.segs}
-			}
-		}
-		s.Endpoints[i] = es
 	}
 	return s
 }
@@ -84,12 +77,11 @@ func (g *Generator) SetState(s GeneratorState) error {
 		e.t0 = es.T0
 		e.on = es.On
 		e.inFlight = es.InFlight
+		e.pending = es.Pending
+		e.head = es.Head
+		e.replay.SetState(es.Replay)
 		e.cursor = es.Cursor
 		e.traceBase = es.TraceBase
-		e.backlog.Clear()
-		for _, fa := range es.Backlog {
-			e.backlog.Push(flowArrival{at: fa.At, segs: fa.Segs})
-		}
 	}
 	g.Requests.SetState(s.Requests)
 	g.Flows.SetState(s.Flows)
