@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test check smoke topo-smoke snap-smoke daemon-smoke cover tables paper bench bench-check pprof clean
+.PHONY: all build vet test check smoke topo-smoke fault-smoke daemon-smoke cover tables paper bench bench-check pprof clean
 
 all: check
 
@@ -37,21 +37,21 @@ topo-smoke:
 		-workload trace -tracefile internal/workload/testdata/smoke_trace.csv \
 		-warmup 0.02 -duration 0.05 > /dev/null
 
-# snap-smoke drives the checkpoint/restore layer end to end through
-# cdnasweep: a fault-scenario grid (link flap, switch-port failure,
-# whole-fabric blackout) warm-start forked from one shared warmup
-# snapshot, with very short windows. Wired into CI next to topo-smoke.
-snap-smoke:
+# fault-smoke drives the fault scenarios end to end through cdnasweep:
+# a fault-scenario grid (link flap, switch-port failure, whole-fabric
+# blackout) under a 3-host incast, with very short windows. Wired into
+# CI next to topo-smoke.
+fault-smoke:
 	$(GO) run ./cmd/cdnasweep -modes xen,cdna -dirs tx -hosts 3 \
 		-patterns incast -faults none,linkflap,portfail,blackout \
-		-warmfork -warmup 0.02 -duration 0.05 -workers 0 -json /dev/null
+		-warmup 0.02 -duration 0.05 -workers 0 -json /dev/null
 
 # daemon-smoke drives the campaign service end to end: a sweep daemon
 # is started, a small sweep runs remotely, the daemon is drained and
 # restarted on the same durable store, and the same sweep runs again —
 # the restarted run must be served ≥95% from the store and its JSON
 # must be byte-identical to the first run's. Wired into CI next to
-# snap-smoke.
+# fault-smoke.
 daemon-smoke:
 	@set -e; \
 	dir=$$(mktemp -d /tmp/cdnadsmoke.XXXXXX); \
@@ -69,8 +69,8 @@ daemon-smoke:
 	echo "daemon-smoke ok: restarted run fully cached, byte-identical JSON"
 
 # cover is the ratcheted coverage gate for the fabric-critical packages
-# (the switch, the bridge/link layer it extends, the event core under
-# them, and the snapshot envelope), the campaign service, and the
+# (the switch, the bridge/link layer it extends and the event core
+# under them), the campaign service, and the
 # physical page table every DMA check goes through. Floors only move
 # up: raise them when coverage rises, never lower them to make a change
 # pass. Current measured coverage is at or a few points above each
@@ -87,7 +87,6 @@ cover:
 	check ./internal/ether/ 90; \
 	check ./internal/topo/ 92; \
 	check ./internal/sim/ 92; \
-	check ./internal/snap/ 90; \
 	check ./internal/store/ 80; \
 	check ./internal/daemon/ 72; \
 	check ./internal/mem/ 92

@@ -1,10 +1,10 @@
 // Command cdnabench measures the simulator's own performance — the
-// foundation-layer event core, one end-to-end experiment, and the
-// checkpoint/restore layer (snapshot_roundtrip and warmstart_fork) — and
-// writes the result as JSON, so the repository's perf trajectory is a
-// committed artifact rather than folklore. `make bench` runs it (for
-// both queue implementations) and emits BENCH_sim.json; `make
-// bench-check` replays a short run and fails on regression.
+// foundation-layer event core, the model-layer hot paths and whole
+// end-to-end experiments — and writes the result as JSON, so the
+// repository's perf trajectory is a committed artifact rather than
+// folklore. `make bench` runs it (for both queue implementations) and
+// emits BENCH_sim.json; `make bench-check` replays a short run and
+// fails on regression.
 //
 // Usage:
 //
@@ -176,19 +176,6 @@ type Report struct {
 	// fabric row above.
 	OpenLoop EndToEnd `json:"open_loop_end_to_end"`
 
-	// SnapRoundTrip times the checkpoint/restore layer on the same
-	// machine: one Snapshot of a mid-window run (live queues, armed
-	// timers, open windows) and one Restore of that image into a freshly
-	// built machine. Median of five, like every wall-clock row.
-	SnapRoundTrip SnapRoundTrip `json:"snapshot_roundtrip"`
-
-	// WarmstartFork times warm-start forking against cold execution: a
-	// three-point fault grid (baseline, link flap, blackout) run cold
-	// and then forked from one shared warmup snapshot. The forked
-	// results are byte-identical to the cold ones; only the redundant
-	// warmup simulation is saved.
-	WarmstartFork WarmstartFork `json:"warmstart_fork"`
-
 	// Reference carries another build's rows for side-by-side reading —
 	// `make bench` embeds the heap build's measurement here, so the
 	// committed artifact always shows wheel vs. heap.
@@ -216,28 +203,6 @@ type EndToEnd struct {
 	EventsPerSec  float64 `json:"events_per_sec"`
 	Mbps          float64 `json:"mbps"`
 	WallSpreadPct float64 `json:"wall_spread_pct,omitempty"`
-}
-
-// SnapRoundTrip is the checkpoint/restore timing row.
-type SnapRoundTrip struct {
-	Config           string  `json:"config"`
-	Bytes            int     `json:"bytes"`
-	SnapshotSeconds  float64 `json:"snapshot_seconds"`
-	RestoreSeconds   float64 `json:"restore_seconds"`
-	RoundTripsPerSec float64 `json:"round_trips_per_sec"`
-}
-
-// WarmstartFork is the warm-start forking row: one fault grid run cold
-// and forked, with the shared-warmup savings.
-type WarmstartFork struct {
-	Config        string  `json:"config"`
-	Runs          int     `json:"runs"`
-	Groups        int     `json:"groups"`
-	WarmupEvents  uint64  `json:"warmup_events"`
-	EventsSaved   uint64  `json:"events_saved"`
-	ColdSeconds   float64 `json:"cold_wall_seconds"`
-	ForkedSeconds float64 `json:"forked_wall_seconds"`
-	Speedup       float64 `json:"speedup"`
 }
 
 // Reference is an embedded secondary measurement (see Report.Reference).
@@ -350,16 +315,6 @@ func measure(benchtime time.Duration, match func(string) bool) (*Report, error) 
 	if err := endToEnd("open_loop", ol, &rep.OpenLoop); err != nil {
 		return nil, err
 	}
-	if match("snapshot_roundtrip") {
-		if err := snapRoundTrip(&rep.SnapRoundTrip); err != nil {
-			return nil, err
-		}
-	}
-	if match("warmstart_fork") {
-		if err := warmstartFork(&rep.WarmstartFork); err != nil {
-			return nil, err
-		}
-	}
 
 	rep.SeedBaseline.NsPerEvent = 81.5
 	rep.SeedBaseline.AllocsPerOp = 1
@@ -367,102 +322,6 @@ func measure(benchtime time.Duration, match func(string) bool) (*Report, error) 
 		rep.SpeedupVsSeed = rep.SeedBaseline.NsPerEvent / rep.Engine.ScheduleFire.NsPerEvent
 	}
 	return &rep, nil
-}
-
-// quickConfig is the end-to-end benchmark machine: CDNA transmit with
-// quick measurement windows.
-func quickConfig() bench.Config {
-	cfg := bench.DefaultConfig(bench.ModeCDNA, bench.NICRice, bench.Tx)
-	cfg.Protection = core.ModeHypercall
-	cfg.Warmup = bench.Quick().Warmup
-	cfg.Duration = bench.Quick().Duration
-	return cfg
-}
-
-// snapRoundTrip measures one Snapshot plus one Restore of a mid-window
-// machine, median of five (the image bytes are identical across runs).
-func snapRoundTrip(out *SnapRoundTrip) error {
-	cfg := quickConfig()
-	m, err := bench.Prepare(cfg)
-	if err != nil {
-		return err
-	}
-	m.Launch()
-	m.RunTo(cfg.Warmup)
-	m.OpenWindow()
-	// Mid-window: in-flight frames, armed timers, half-filled histograms
-	// — the state walk at its busiest.
-	m.RunTo(cfg.Warmup + cfg.Duration/2)
-	type trip struct{ snap, rest float64 }
-	trips := make([]trip, timingRuns)
-	totals := make([]float64, timingRuns)
-	for i := range trips {
-		start := time.Now()
-		img, err := m.Snapshot()
-		snapWall := time.Since(start).Seconds()
-		if err != nil {
-			return err
-		}
-		m2, err := bench.Prepare(cfg)
-		if err != nil {
-			return err
-		}
-		start = time.Now()
-		if err := m2.Restore(img); err != nil {
-			return err
-		}
-		trips[i] = trip{snap: snapWall, rest: time.Since(start).Seconds()}
-		totals[i] = trips[i].snap + trips[i].rest
-		out.Config = cfg.Name()
-		out.Bytes = len(img)
-	}
-	mid, _ := medianIdx(totals)
-	out.SnapshotSeconds, out.RestoreSeconds = trips[mid].snap, trips[mid].rest
-	if s := out.SnapshotSeconds + out.RestoreSeconds; s > 0 {
-		out.RoundTripsPerSec = 1 / s
-	}
-	return nil
-}
-
-// warmstartFork times a three-point fault grid cold and warm-forked;
-// cold and forked walls are each the median of five.
-func warmstartFork(out *WarmstartFork) error {
-	base := quickConfig()
-	cfgs := []bench.Config{base, base, base}
-	cfgs[1].Fault = bench.FaultSpec{Kind: bench.FaultLinkFlap}
-	cfgs[2].Fault = bench.FaultSpec{Kind: bench.FaultBlackout}
-	colds := make([]float64, timingRuns)
-	forkeds := make([]float64, timingRuns)
-	for i := range colds {
-		start := time.Now()
-		for _, cfg := range cfgs {
-			if _, err := bench.Run(cfg); err != nil {
-				return err
-			}
-		}
-		colds[i] = time.Since(start).Seconds()
-		start = time.Now()
-		outs, ws, err := bench.RunWarmForked(cfgs)
-		if err != nil {
-			return err
-		}
-		forkeds[i] = time.Since(start).Seconds()
-		for _, o := range outs {
-			if o.Err != nil {
-				return o.Err
-			}
-		}
-		out.Config = base.Name()
-		out.Runs, out.Groups = ws.Runs, ws.Groups
-		out.WarmupEvents, out.EventsSaved = ws.WarmupEvents, ws.EventsSaved
-	}
-	coldMid, _ := medianIdx(colds)
-	forkedMid, _ := medianIdx(forkeds)
-	out.ColdSeconds, out.ForkedSeconds = colds[coldMid], forkeds[forkedMid]
-	if out.ForkedSeconds > 0 {
-		out.Speedup = out.ColdSeconds / out.ForkedSeconds
-	}
-	return nil
 }
 
 func load(path string) (*Report, error) {
@@ -496,11 +355,6 @@ func metrics(r *Report) []metric {
 	if r.MultiHost.EventsPerSec > 0 {
 		mhNs = 1e9 / r.MultiHost.EventsPerSec
 	}
-	snapNs := (r.SnapRoundTrip.SnapshotSeconds + r.SnapRoundTrip.RestoreSeconds) * 1e9
-	forkNs := 0.0
-	if r.WarmstartFork.Runs > 0 {
-		forkNs = r.WarmstartFork.ForkedSeconds / float64(r.WarmstartFork.Runs) * 1e9
-	}
 	flsNs, olNs := 0.0, 0.0
 	if r.FabricLeafSpine.EventsPerSec > 0 {
 		flsNs = 1e9 / r.FabricLeafSpine.EventsPerSec
@@ -519,10 +373,6 @@ func metrics(r *Report) []metric {
 		{"fabric.forward", r.Fabric.NsPerEvent, r.Fabric.AllocsPerOp, r.Fabric.SpreadPct},
 		{"end_to_end.ns_per_event", e2eNs, 0, r.EndToEnd.WallSpreadPct},
 		{"multi_host.ns_per_event", mhNs, 0, r.MultiHost.WallSpreadPct},
-		// Snapshot+restore round trip and per-run forked wall: absent
-		// (zero) in pre-checkpoint artifacts, where they report as n/a.
-		{"snapshot_roundtrip.ns", snapNs, 0, 0},
-		{"warmstart_fork.ns_per_run", forkNs, 0, 0},
 		// Model-layer rows.
 		{"model.nic_tx_pipeline", r.Model.NicTxPipeline.NsPerEvent, r.Model.NicTxPipeline.AllocsPerOp, r.Model.NicTxPipeline.SpreadPct},
 		{"model.guest_dma", r.Model.GuestDMA.NsPerEvent, r.Model.GuestDMA.AllocsPerOp, r.Model.GuestDMA.SpreadPct},

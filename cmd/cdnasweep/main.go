@@ -16,7 +16,7 @@
 //	cdnasweep -hosts 8 -preset topology
 //	cdnasweep -modes xen,cdna -hosts 2,4,8 -patterns incast,all2all
 //	cdnasweep -preset faults -json faults.json
-//	cdnasweep -modes cdna -hosts 3 -patterns incast -faults none,linkflap,blackout -warmfork
+//	cdnasweep -modes cdna -hosts 3 -patterns incast -faults none,linkflap,blackout
 //	cdnasweep -preset fabrics -json fabrics.json
 //	cdnasweep -preset openloop -quick -csv openloop.csv
 //	cdnasweep -modes xen,cdna -hosts 4 -patterns incast -fabrics tor,leafspine,fattree
@@ -138,7 +138,6 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent experiments (0 = GOMAXPROCS)")
 	jsonPath := flag.String("json", "-", "JSON output path (- = stdout, empty = none)")
 	csvPath := flag.String("csv", "", "CSV output path (- = stdout)")
-	warmfork := flag.Bool("warmfork", false, "share one simulated warmup among grid points that differ only in fault (checkpoint/restore forking; results stay byte-identical to cold runs)")
 	progress := flag.Bool("progress", true, "report per-experiment completion on stderr")
 
 	daemonMode := flag.Bool("daemon", false, "serve sweeps as a long-running daemon on -socket (requires -store); SIGINT/SIGTERM drain gracefully")
@@ -165,10 +164,6 @@ func main() {
 		fatal("-remote requires -socket")
 	case *remote && *storeDir != "":
 		fatal("-store is the daemon's side of a -remote run; set it on the -daemon process")
-	case *warmfork && (*daemonMode || *remote || *storeDir != ""):
-		// Warm-forked runs bypass the per-experiment executor, so they
-		// cannot flow through the result store or the daemon.
-		fatal("-warmfork cannot be combined with -daemon/-remote/-store")
 	case *drain && !*remote:
 		fatal("-drain requires -remote")
 	case *requireHitRate >= 0 && !*remote && *storeDir == "":
@@ -425,27 +420,7 @@ func main() {
 		}
 	}
 	start := time.Now()
-	var outs []bench.Outcome
-	if *warmfork {
-		// Warm-start forking runs groups sequentially (each group shares
-		// one snapshot image); the per-point progress callback still
-		// fires, via the stats line below instead of the worker pool.
-		var ws bench.WarmStats
-		var err error
-		outs, ws, err = bench.RunWarmForked(cfgs)
-		if err != nil {
-			fatal("%v", err)
-		}
-		if *progress {
-			for i, out := range outs {
-				opt.Progress(i+1, len(outs), out)
-			}
-			fmt.Fprintf(os.Stderr, "warm-start: %d runs forked from %d shared warmups (%d warmup events simulated, %d saved, %d snapshot bytes)\n",
-				ws.Runs, ws.Groups, ws.WarmupEvents, ws.EventsSaved, ws.SnapshotBytes)
-		}
-	} else {
-		outs = campaign.Run(cfgs, opt)
-	}
+	outs := campaign.Run(cfgs, opt)
 	if *progress {
 		fmt.Fprintf(os.Stderr, "%d experiments in %.1fs wall clock\n", len(outs), time.Since(start).Seconds())
 	}

@@ -60,7 +60,7 @@ type Netfront struct {
 	txIn sim.FIFO[*ether.Frame]
 	rxUp sim.FIFO[*ether.Frame]
 
-	txInFn, rxUpFn, virqFn, notifyFn sim.Fn
+	txInFn, rxUpFn, virqFn, notifyFn func()
 }
 
 // MAC implements guest.NetDevice.
@@ -139,7 +139,7 @@ type Vif struct {
 	txOut sim.FIFO[*ether.Frame] // toward the bridge/wire
 	rxOut sim.FIFO[*ether.Frame] // toward this guest
 
-	visitFn, notifyFn, txOutFn, rxOutFn sim.Fn
+	visitFn, notifyFn, txOutFn, rxOutFn func()
 }
 
 // Netback is the driver domain's back-end driver plus bridge for one
@@ -153,12 +153,10 @@ type Netback struct {
 	physPort int
 	phys     guest.NetDevice
 
-	vifs []*Vif
-
 	// Frames arriving from the physical driver, queued into the bridge
 	// traversal task; wireInFn is bound once in NewNetback.
 	wireIn   sim.FIFO[*ether.Frame]
-	wireInFn sim.Fn
+	wireInFn func()
 
 	PktsToWire   stats.Counter
 	PktsToGuests stats.Counter
@@ -167,7 +165,7 @@ type Netback struct {
 // NewNetback creates the back end bridged onto the physical device.
 func NewNetback(hyp *xen.Hypervisor, dom0 *xen.Domain, phys guest.NetDevice, costs BackCosts) *Netback {
 	nb := &Netback{Dom0: dom0, Hyp: hyp, Costs: costs, Bridge: ether.NewBridge(), phys: phys}
-	nb.wireInFn = hyp.Eng.Bind(nb.wireInTask)
+	nb.wireInFn = nb.wireInTask
 	nb.physPort = nb.Bridge.AddPort(ether.PortFunc(func(f *ether.Frame) {
 		nb.PktsToWire.Inc()
 		phys.StartXmit(f)
@@ -182,24 +180,22 @@ func NewNetback(hyp *xen.Hypervisor, dom0 *xen.Domain, phys guest.NetDevice, cos
 // The per-vif packet callbacks are bound here, once, so the per-packet
 // paths below never allocate a capturing closure.
 func (nb *Netback) AddVif(gdom *xen.Domain, mac ether.MAC, fc FrontCosts) *Netfront {
-	eng := nb.Hyp.Eng
 	front := &Netfront{Dom: gdom, Costs: fc, mac: mac}
-	front.txInFn = eng.Bind(front.txInTask)
-	front.rxUpFn = eng.Bind(front.rxUpTask)
-	front.virqFn = eng.Bind(front.virqTask)
-	front.notifyFn = eng.Bind(front.notifyTask)
+	front.txInFn = front.txInTask
+	front.rxUpFn = front.rxUpTask
+	front.virqFn = front.virqTask
+	front.notifyFn = front.notifyTask
 	vif := &Vif{Front: front, back: nb}
 	front.vif = vif
-	vif.visitFn = eng.Bind(func() { nb.visitTask(vif) })
-	vif.notifyFn = eng.Bind(func() { nb.frontNotifyTask(vif) })
-	vif.txOutFn = eng.Bind(func() { nb.txOutTask(vif) })
-	vif.rxOutFn = eng.Bind(func() { nb.rxOutTask(vif) })
+	vif.visitFn = func() { nb.visitTask(vif) }
+	vif.notifyFn = func() { nb.frontNotifyTask(vif) }
+	vif.txOutFn = func() { nb.txOutTask(vif) }
+	vif.rxOutFn = func() { nb.rxOutTask(vif) }
 	vif.port = nb.Bridge.AddPort(ether.PortFunc(func(f *ether.Frame) {
 		nb.deliverToGuest(vif, f)
 	}))
 	vif.toBack = nb.Hyp.NewChannel(nb.Dom0, "vif.tx", func() { nb.serveVif(vif) })
 	vif.toFront = nb.Hyp.NewChannel(gdom, "vif.rx", front.onVirq)
-	nb.vifs = append(nb.vifs, vif)
 	return front
 }
 
@@ -228,7 +224,7 @@ func (nb *Netback) visitTask(v *Vif) {
 	for i := 0; i < n; i++ {
 		f := v.txQ.Pop()
 		v.txOut.Push(f)
-		nb.Dom0.VCPU.Exec(cpu.CatHyp, nb.Costs.FlipPerPkt, "netback.flip", sim.Fn{})
+		nb.Dom0.VCPU.Exec(cpu.CatHyp, nb.Costs.FlipPerPkt, "netback.flip", nil)
 		nb.Dom0.VCPU.Exec(cpu.CatKernel, guest.ScaleCost(nb.Costs.TxPerPkt, f.Size)+nb.Costs.BridgePerPkt, "netback.tx", v.txOutFn)
 	}
 	if n > 0 {
@@ -272,7 +268,7 @@ func (nb *Netback) deliverToGuest(v *Vif, f *ether.Frame) {
 		flip = nb.Costs.FlipPerPkt / 2
 	}
 	v.rxOut.Push(f)
-	nb.Dom0.VCPU.Exec(cpu.CatHyp, flip, "netback.rxflip", sim.Fn{})
+	nb.Dom0.VCPU.Exec(cpu.CatHyp, flip, "netback.rxflip", nil)
 	nb.Dom0.VCPU.Exec(cpu.CatKernel, guest.ScaleCost(nb.Costs.RxPerPkt, f.Size), "netback.rx", v.rxOutFn)
 }
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -199,63 +200,9 @@ func runJSON(t *testing.T, cfg Config) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resultJSON(t, res)
-}
-
-// TestRestoreMidRunByteIdentical is the doublerun contract with a
-// checkpoint in the loop: a run snapshotted mid-window and resumed in
-// a fresh machine must be byte-identical to the uninterrupted run —
-// including across a live link-flap outage, a failed fabric port, a
-// multi-tier fabric and trace replay.
-func TestRestoreMidRunByteIdentical(t *testing.T) {
-	opts := Opts{Warmup: 20 * sim.Millisecond, Duration: 60 * sim.Millisecond}
-	single := DefaultConfig(ModeCDNA, NICRice, Tx)
-	single.Warmup, single.Duration = opts.Warmup, opts.Duration
-	single.Guests = 2
-	single.ConnsPerGuestPerNIC = connsFor(single.Guests)
-
-	incastFlap := rackConfig(3, PatternIncast, opts.Warmup, opts.Duration)
-	incastFlap.Guests = 2
-	incastFlap.ConnsPerGuestPerNIC = connsFor(incastFlap.Guests)
-	incastFlap.Fault = FaultSpec{Kind: FaultLinkFlap, After: opts.Duration / 4, Outage: opts.Duration / 4}
-
-	// 4-host incast with a link flap, snapshotted between injection
-	// and healing.
-	flap4 := rackConfig(4, PatternIncast, 10*sim.Millisecond, 30*sim.Millisecond)
-	flap4.Guests = 2
-	flap4.ConnsPerGuestPerNIC = connsFor(flap4.Guests)
-	flap4.Fault = FaultSpec{Kind: FaultLinkFlap, After: 8 * sim.Millisecond, Outage: 8 * sim.Millisecond}
-
-	leafSpine := topo.FabricSpec{Kind: topo.KindLeafSpine, HostsPerLeaf: 2, Spines: 2}
-	fatTree := rackConfig(4, PatternAllToAll, 10*sim.Millisecond, 30*sim.Millisecond)
-	fatTree.Fabric = topo.FabricSpec{Kind: topo.KindFatTree, HostsPerLeaf: 1, Spines: 2}
-	trace := rackConfig(4, PatternIncast, 10*sim.Millisecond, 40*sim.Millisecond)
-	trace.Fabric = leafSpine
-	trace.Workload = fabricTraceSpec()
-	portFail := rackConfig(4, PatternIncast, 10*sim.Millisecond, 40*sim.Millisecond)
-	portFail.Fabric = leafSpine
-	portFail.Fault = FaultSpec{Kind: FaultPortFail, After: 10 * sim.Millisecond, Outage: 10 * sim.Millisecond}
-
-	for _, tc := range []struct {
-		name   string
-		cfg    Config
-		snapAt sim.Time // offset into the measurement window
-	}{
-		{"CDNA/single", single, opts.Duration * 3 / 8},
-		{"CDNA/3h-incast-flap", incastFlap, opts.Duration * 3 / 8},
-		{"CDNA/4h-incast-flap", flap4, 12 * sim.Millisecond},
-		{"fabric/fattree-all2all-bulk", fatTree, 11 * sim.Millisecond},
-		{"fabric/leafspine-incast-trace", trace, 15 * sim.Millisecond},
-		{"fabric/leafspine-incast-portfail", portFail, 15 * sim.Millisecond},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			snapAt := tc.cfg.Warmup + tc.snapAt
-			cold, img := runWithSnapshot(t, tc.cfg, snapAt)
-			resumed := resumeFromSnapshot(t, tc.cfg, snapAt, img)
-			a, b := resultJSON(t, cold), resultJSON(t, resumed)
-			if a != b {
-				t.Fatalf("resumed run diverged:\n--- cold ---\n%s\n--- resumed ---\n%s", a, b)
-			}
-		})
+	buf, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return string(buf)
 }

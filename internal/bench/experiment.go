@@ -269,11 +269,9 @@ func RunTraced(cfg Config, traceN int) (*Machine, Result, error) {
 }
 
 // runMachine is the canonical experiment lifecycle. Its phases are
-// exported separately so checkpoint flows can recompose them: a
-// warm-start fork replaces Launch-plus-warmup with a Restore, and a
-// round-trip test snapshots between any two phases — every path runs
-// the same code in the same order, which is what makes restored runs
-// byte-identical to cold ones.
+// exported separately so tracing drivers (perfbench's per-event
+// stepping) can time and step each one while running the same code in
+// the same order.
 func runMachine(cfg Config, traceN int) (*Machine, Result, error) {
 	m, err := Prepare(cfg)
 	if err != nil {
@@ -325,7 +323,7 @@ func (m *Machine) TotalFired() uint64 { return m.Eng.Fired() }
 // historical path: one CPU, one hypervisor), then the configured fault
 // scenario is armed. Arming here — not at build or launch — keeps the
 // pre-window event sequence identical between a fault variant and its
-// fault-free base, so a warm-start fork restores cleanly into either.
+// fault-free base.
 func (m *Machine) OpenWindow() {
 	for _, h := range m.Hosts {
 		h.CPU.StartWindow()

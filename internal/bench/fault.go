@@ -18,9 +18,7 @@ type FaultKind int
 
 // Fault scenarios.
 const (
-	// FaultNone injects nothing. The injector still exists so that a
-	// faulted configuration and its fault-free base build identical
-	// engine registries — the property warm-start forking relies on.
+	// FaultNone injects nothing.
 	FaultNone FaultKind = iota
 	// FaultLinkFlap takes one access link (both directions) down for the
 	// outage, then restores it. Frames sent meanwhile are dropped at the
@@ -95,8 +93,7 @@ func (k *FaultKind) UnmarshalText(b []byte) error {
 // FaultSpec schedules one fault scenario relative to the measurement
 // window: the fault fires After the window opens and heals Outage
 // later. Relative timing keeps the spec independent of the warmup
-// length — and therefore identical between a cold run and a warm-start
-// fork, which arm the injector at the same instant either way.
+// length.
 type FaultSpec struct {
 	Kind FaultKind `json:"kind"`
 	// After is the injection offset from window open.
@@ -169,8 +166,7 @@ func (f FaultSpec) validate(cfg Config) error {
 
 // faultInjector drives one FaultSpec with a single persistent timer:
 // first firing injects, second heals. It is constructed for every
-// machine — fault or not — so the timer registry is identical across a
-// configuration's fault variants; arm is a no-op for FaultNone.
+// machine, fault or not; arm is a no-op for FaultNone.
 type faultInjector struct {
 	m     *Machine
 	spec  FaultSpec

@@ -102,14 +102,10 @@ type Host struct {
 	Drivers   []*guest.CDNADriver    // CDNA drivers on this host
 	Stacks    []*guest.Stack         // one per guest (native: the host OS)
 
-	// Checkpoint rosters, in creation order: every bus, access-link pipe
-	// (both directions, NIC order), netback and native driver built into
-	// the host. The snapshot walk (snapshot.go) iterates these; identity
-	// is the index, which deterministic construction reproduces.
-	Buses      []*bus.Bus
-	Links      []*ether.Pipe
-	Netbacks   []*backend.Netback
-	NativeDrvs []*guest.NativeDriver
+	// Links are the host's access-link pipes (both directions, NIC
+	// order): the fault injector takes them down and the measurement
+	// window reads their counters.
+	Links []*ether.Pipe
 
 	guestDoms []*xen.Domain
 	dom0      *xen.Domain
@@ -243,8 +239,8 @@ func makeRings(m *mem.Memory, dom mem.DomID, name string) (*ring.Ring, *ring.Rin
 func startBackground(eng *sim.Engine, d *cpu.Domain, period, kernel, user sim.Time) {
 	var tm *sim.Timer
 	tm = eng.NewTimer("bg", func() {
-		d.Exec(cpu.CatKernel, kernel, "bg.kernel", sim.Fn{})
-		d.Exec(cpu.CatUser, user, "bg.user", sim.Fn{})
+		d.Exec(cpu.CatKernel, kernel, "bg.kernel", nil)
+		d.Exec(cpu.CatUser, user, "bg.user", nil)
 		tm.ArmAfter(period)
 	})
 	tm.ArmAfter(period)
@@ -436,7 +432,6 @@ func buildNative(cfg Config, env hostEnv) error {
 	for i := 0; i < cfg.NICs; i++ {
 		nicOut, hostIn := env.newLink()
 		b := bus.New(env.eng, cal.Bus)
-		h.Buses = append(h.Buses, b)
 		n := intelnic.New(env.eng, b, h.Mem, nicOut, cal.Intel, ether.MakeMAC(1, env.macIndex(i)))
 		hostIn.Connect(ether.PortFunc(n.Receive))
 		drv, err := guest.NewNativeDriver(hostDom, hostID, h.Mem, n, cal.NativeDrv)
@@ -448,7 +443,6 @@ func buildNative(cfg Config, env hostEnv) error {
 		drv.Start()
 		st.AttachDevice(drv)
 		h.IntelNICs = append(h.IntelNICs, n)
-		h.NativeDrvs = append(h.NativeDrvs, drv)
 		h.recordDev(0, drv)
 		if env.wire != nil {
 			if err := env.wire(st, 0, i, drv); err != nil {
@@ -486,7 +480,6 @@ func buildXen(cfg Config, env hostEnv) error {
 	for i := 0; i < cfg.NICs; i++ {
 		nicOut, hostIn := env.newLink()
 		b := bus.New(env.eng, cal.Bus)
-		h.Buses = append(h.Buses, b)
 
 		// Physical device owned by the driver domain.
 		var phys guest.NetDevice
@@ -503,7 +496,6 @@ func buildXen(cfg Config, env hostEnv) error {
 			n.SetIRQ(irq.Raise)
 			drv.Start()
 			h.IntelNICs = append(h.IntelNICs, n)
-			h.NativeDrvs = append(h.NativeDrvs, drv)
 			phys = drv
 		case NICRice:
 			// RiceNIC under software virtualization: one context assigned
@@ -543,7 +535,6 @@ func buildXen(cfg Config, env hostEnv) error {
 		}
 
 		nb := backend.NewNetback(hyp, dom0, phys, cal.Back)
-		h.Netbacks = append(h.Netbacks, nb)
 		for g := range guests {
 			front := nb.AddVif(guests[g], ether.MakeMAC(10+i, env.macIndex(g)), cal.Front)
 			stacks[g].AttachDevice(front)
@@ -588,7 +579,6 @@ func buildCDNA(cfg Config, env hostEnv) error {
 	for i := 0; i < cfg.NICs; i++ {
 		nicOut, hostIn := env.newLink()
 		b := bus.New(env.eng, cal.Bus)
-		h.Buses = append(h.Buses, b)
 		n, err := ricenic.New(env.eng, b, h.Mem, nicOut, rice)
 		if err != nil {
 			return err

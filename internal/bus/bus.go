@@ -50,7 +50,7 @@ func (b *Bus) transferTime(size int) sim.Time {
 // callers needing per-transfer state can pair a sim.FIFO with one
 // callback bound at construction instead of capturing it in a fresh
 // closure per transfer. name is the event name as it appears in traces.
-func (b *Bus) DMA(size int, name string, fn sim.Fn) {
+func (b *Bus) DMA(size int, name string, fn func()) {
 	if size < 0 {
 		panic("bus: negative DMA size")
 	}
@@ -62,7 +62,7 @@ func (b *Bus) DMA(size int, name string, fn sim.Fn) {
 	b.busyUntil = done
 	b.Transfers.Inc()
 	b.Bytes.Add(uint64(size))
-	b.eng.AtFn(done, name, fn)
+	b.eng.At(done, name, fn)
 }
 
 // Backlog returns how far in the future the bus frees up.

@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"cdna/internal/bench"
-	"cdna/internal/snap"
 	"cdna/internal/store"
 )
 
@@ -87,9 +85,9 @@ var buildID = sync.OnceValues(func() ([]byte, error) {
 })
 
 // ResultKey derives the canonical cache key of a configuration: a hash
-// over the payload schema version, the snapshot format version, the
-// build identity of the running executable, and the canonical JSON of
-// the normalized configuration plus its calibration. A rebuilt model
+// over the payload schema version, the build identity of the running
+// executable, and the canonical JSON of the normalized configuration
+// plus its calibration. A rebuilt model
 // lands every config on a fresh key, so a stale store can only miss,
 // never mislead. Configurations that fail validation are uncacheable
 // and return an error, as does a process that cannot read its own
@@ -116,7 +114,6 @@ func ResultKey(cfg bench.Config) (string, error) {
 	}
 	return store.Key(
 		[]byte(resultSchema),
-		[]byte(strconv.Itoa(snap.Version)),
 		build,
 		cfgJSON,
 		calJSON,

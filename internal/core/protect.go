@@ -119,11 +119,6 @@ type Protection struct {
 	Mode Mode
 
 	rings map[*ring.Ring]*ringState
-	// order is the append-only registration roster: ring identity for
-	// checkpoints is "the n-th ring ever registered", which matches
-	// across a donor machine and a freshly built one because machine
-	// construction registers rings in a fixed order.
-	order []*ring.Ring
 
 	// Counters for the evaluation and tests.
 	Validated   stats.Counter // descriptors validated and enqueued
@@ -156,7 +151,6 @@ func (p *Protection) RegisterRing(owner mem.DomID, r *ring.Ring, seqSpace uint32
 		}
 	}
 	p.rings[r] = &ringState{owner: owner, r: r, seq: NewSeqAssigner(seqSpace), active: true}
-	p.order = append(p.order, r)
 	return nil
 }
 

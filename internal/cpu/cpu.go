@@ -48,7 +48,7 @@ type Task struct {
 	Cat  Cat
 	Dur  sim.Time
 	Name string
-	Fn   sim.Fn // runs on completion, in scheduling order; may be the zero Fn
+	Fn   func() // runs on completion, in scheduling order; may be nil
 }
 
 // Domain is a schedulable virtual machine (or the native host OS).
@@ -138,7 +138,7 @@ type CPU struct {
 	pendTask Task
 	pendISR  Task
 
-	switchDoneFn, taskDoneFn, isrDoneFn sim.Fn
+	switchDoneFn, taskDoneFn, isrDoneFn func()
 
 	// window accounting
 	hypT, idleT sim.Time
@@ -149,9 +149,9 @@ type CPU struct {
 // New creates a CPU attached to the engine.
 func New(eng *sim.Engine, p Params) *CPU {
 	c := &CPU{eng: eng, params: p, idleSince: eng.Now()}
-	c.switchDoneFn = eng.Bind(c.switchDone)
-	c.taskDoneFn = eng.Bind(c.taskDone)
-	c.isrDoneFn = eng.Bind(c.isrDone)
+	c.switchDoneFn = c.switchDone
+	c.taskDoneFn = c.taskDone
+	c.isrDoneFn = c.isrDone
 	return c
 }
 
@@ -165,17 +165,10 @@ func (c *CPU) NewDomain(name string, kind Kind) *Domain {
 // Domains returns all registered domains.
 func (c *CPU) Domains() []*Domain { return c.domains }
 
-// Engine returns the engine the CPU is attached to — layers above use
-// it to bind their completion callbacks.
-func (c *CPU) Engine() *sim.Engine { return c.eng }
-
-// Engine returns the engine of the CPU the domain runs on.
-func (d *Domain) Engine() *sim.Engine { return d.cpu.eng }
-
 // Exec queues a task on the domain. If the domain was blocked it becomes
 // runnable (boosted). Duration must be non-negative; zero-duration tasks
 // are allowed for pure control flow.
-func (d *Domain) Exec(cat Cat, dur sim.Time, name string, fn sim.Fn) {
+func (d *Domain) Exec(cat Cat, dur sim.Time, name string, fn func()) {
 	if dur < 0 {
 		panic(fmt.Sprintf("cpu: negative task duration for %s", name))
 	}
@@ -193,7 +186,7 @@ func (d *Domain) Exec(cat Cat, dur sim.Time, name string, fn sim.Fn) {
 // domain-local interrupt path (a virtual interrupt's top half preempts
 // process context inside the guest, it does not wait behind queued
 // kernel work).
-func (d *Domain) ExecFront(cat Cat, dur sim.Time, name string, fn sim.Fn) {
+func (d *Domain) ExecFront(cat Cat, dur sim.Time, name string, fn func()) {
 	if dur < 0 {
 		panic(fmt.Sprintf("cpu: negative task duration for %s", name))
 	}
@@ -216,7 +209,7 @@ func (d *Domain) Wakes() *stats.Counter { return &d.wakes }
 // ExecISR queues hypervisor interrupt-service work. ISRs preempt domains
 // at task boundaries (tasks are short, so dispatch latency is bounded by
 // a few microseconds, matching real top-half latency).
-func (c *CPU) ExecISR(dur sim.Time, name string, fn sim.Fn) {
+func (c *CPU) ExecISR(dur sim.Time, name string, fn func()) {
 	if dur < 0 {
 		panic(fmt.Sprintf("cpu: negative ISR duration for %s", name))
 	}
@@ -299,7 +292,7 @@ func (c *CPU) dispatch() {
 		// switchCost is always params.SwitchCost here, so the callback
 		// needs only the pending domain.
 		c.pendDom = d
-		c.eng.AfterFn(switchCost, "cpu.switch", c.switchDoneFn)
+		c.eng.After(switchCost, "cpu.switch", c.switchDoneFn)
 		return
 	}
 	c.startDomainTask(d)
@@ -324,14 +317,16 @@ func (c *CPU) startDomainTask(d *Domain) {
 	if c.eng.Traced() {
 		name = "cpu.task:" + t.Name
 	}
-	c.eng.AfterFn(t.Dur, name, c.taskDoneFn)
+	c.eng.After(t.Dur, name, c.taskDoneFn)
 }
 
 func (c *CPU) taskDone() {
 	d, t := c.pendDom, c.pendTask
-	c.pendTask.Fn = sim.Fn{} // release the callback before t.Fn reschedules
+	c.pendTask.Fn = nil // release the callback before t.Fn reschedules
 	c.accountDomain(d, t)
-	t.Fn.Call()
+	if t.Fn != nil {
+		t.Fn()
+	}
 	c.afterDomainTask(d)
 }
 
@@ -377,14 +372,16 @@ func (c *CPU) runTask(d *Domain, t Task) {
 	if c.eng.Traced() {
 		name = "cpu.isr:" + t.Name
 	}
-	c.eng.AfterFn(t.Dur, name, c.isrDoneFn)
+	c.eng.After(t.Dur, name, c.isrDoneFn)
 }
 
 func (c *CPU) isrDone() {
 	t := c.pendISR
-	c.pendISR.Fn = sim.Fn{}
+	c.pendISR.Fn = nil
 	c.hypT += t.Dur
-	t.Fn.Call()
+	if t.Fn != nil {
+		t.Fn()
+	}
 	c.dispatch()
 }
 

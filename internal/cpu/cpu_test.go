@@ -17,7 +17,7 @@ func TestSingleTaskAccounting(t *testing.T) {
 	d := c.NewDomain("guest", KindGuest)
 	c.StartWindow()
 	done := false
-	d.Exec(CatKernel, 10*sim.Microsecond, "work", sim.RawFn(func() { done = true }))
+	d.Exec(CatKernel, 10*sim.Microsecond, "work", func() { done = true })
 	eng.Run(sim.Millisecond)
 	c.EndWindow()
 	if !done {
@@ -44,9 +44,9 @@ func TestCategoriesSplit(t *testing.T) {
 	eng, c := newCPU()
 	d := c.NewDomain("drv", KindDriver)
 	c.StartWindow()
-	d.Exec(CatKernel, 5*sim.Microsecond, "k", sim.Fn{})
-	d.Exec(CatUser, 7*sim.Microsecond, "u", sim.Fn{})
-	d.Exec(CatHyp, 3*sim.Microsecond, "h", sim.Fn{})
+	d.Exec(CatKernel, 5*sim.Microsecond, "k", nil)
+	d.Exec(CatUser, 7*sim.Microsecond, "u", nil)
+	d.Exec(CatHyp, 3*sim.Microsecond, "h", nil)
 	eng.Run(sim.Millisecond)
 	c.EndWindow()
 	p := c.Profile()
@@ -63,11 +63,11 @@ func TestTaskChainOrdering(t *testing.T) {
 	eng, c := newCPU()
 	d := c.NewDomain("g", KindGuest)
 	var order []string
-	d.Exec(CatKernel, sim.Microsecond, "a", sim.RawFn(func() {
+	d.Exec(CatKernel, sim.Microsecond, "a", func() {
 		order = append(order, "a")
-		d.Exec(CatKernel, sim.Microsecond, "c", sim.RawFn(func() { order = append(order, "c") }))
-	}))
-	d.Exec(CatKernel, sim.Microsecond, "b", sim.RawFn(func() { order = append(order, "b") }))
+		d.Exec(CatKernel, sim.Microsecond, "c", func() { order = append(order, "c") })
+	})
+	d.Exec(CatKernel, sim.Microsecond, "b", func() { order = append(order, "b") })
 	eng.Run(sim.Millisecond)
 	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
 		t.Fatalf("order = %v", order)
@@ -78,11 +78,11 @@ func TestISRPreemptsAtBoundary(t *testing.T) {
 	eng, c := newCPU()
 	d := c.NewDomain("g", KindGuest)
 	var order []string
-	d.Exec(CatKernel, 10*sim.Microsecond, "t1", sim.RawFn(func() { order = append(order, "t1") }))
-	d.Exec(CatKernel, 10*sim.Microsecond, "t2", sim.RawFn(func() { order = append(order, "t2") }))
+	d.Exec(CatKernel, 10*sim.Microsecond, "t1", func() { order = append(order, "t1") })
+	d.Exec(CatKernel, 10*sim.Microsecond, "t2", func() { order = append(order, "t2") })
 	// Arrives mid-t1; must run before t2.
 	eng.After(5*sim.Microsecond, "irq", func() {
-		c.ExecISR(2*sim.Microsecond, "isr", sim.RawFn(func() { order = append(order, "isr") }))
+		c.ExecISR(2*sim.Microsecond, "isr", func() { order = append(order, "isr") })
 	})
 	eng.Run(sim.Millisecond)
 	if len(order) != 3 || order[0] != "t1" || order[1] != "isr" || order[2] != "t2" {
@@ -95,7 +95,7 @@ func TestIdleAccounting(t *testing.T) {
 	d := c.NewDomain("g", KindGuest)
 	c.StartWindow()
 	eng.After(500*sim.Microsecond, "wake", func() {
-		d.Exec(CatKernel, 100*sim.Microsecond, "w", sim.Fn{})
+		d.Exec(CatKernel, 100*sim.Microsecond, "w", nil)
 	})
 	eng.Run(sim.Millisecond)
 	c.EndWindow()
@@ -117,12 +117,12 @@ func TestBoostOnWake(t *testing.T) {
 	// Hog has lots of queued work.
 	var refill func()
 	refill = func() {
-		hog.Exec(CatKernel, 50*sim.Microsecond, "hog", sim.RawFn(func() {
+		hog.Exec(CatKernel, 50*sim.Microsecond, "hog", func() {
 			order = append(order, "hog")
 			if len(order) < 20 {
 				refill()
 			}
-		}))
+		})
 	}
 	refill()
 	refill()
@@ -130,7 +130,7 @@ func TestBoostOnWake(t *testing.T) {
 	// Waker becomes runnable mid-stream; must run at next slice boundary,
 	// before the hog's remaining queue.
 	eng.After(120*sim.Microsecond, "wake", func() {
-		waker.Exec(CatKernel, sim.Microsecond, "waker", sim.RawFn(func() { order = append(order, "waker") }))
+		waker.Exec(CatKernel, sim.Microsecond, "waker", func() { order = append(order, "waker") })
 	})
 	eng.Run(10 * sim.Millisecond)
 	pos := -1
@@ -152,12 +152,12 @@ func TestSliceRoundRobinFairness(t *testing.T) {
 	a := c.NewDomain("a", KindGuest)
 	b := c.NewDomain("b", KindGuest)
 	var at, bt sim.Time
-	mk := func(d *Domain, acc *sim.Time) sim.Fn {
-		var f sim.Fn
-		f = sim.RawFn(func() {
+	mk := func(d *Domain, acc *sim.Time) func() {
+		var f func()
+		f = func() {
 			*acc += 20 * sim.Microsecond
 			d.Exec(CatKernel, 20*sim.Microsecond, d.Name, f)
-		})
+		}
 		return f
 	}
 	a.Exec(CatKernel, 20*sim.Microsecond, "a", mk(a, &at))
@@ -174,9 +174,9 @@ func TestDomainSwitchCostCharged(t *testing.T) {
 	a := c.NewDomain("a", KindGuest)
 	b := c.NewDomain("b", KindGuest)
 	c.StartWindow()
-	a.Exec(CatKernel, sim.Microsecond, "a", sim.Fn{})
+	a.Exec(CatKernel, sim.Microsecond, "a", nil)
 	eng.Run(50 * sim.Microsecond)
-	b.Exec(CatKernel, sim.Microsecond, "b", sim.Fn{})
+	b.Exec(CatKernel, sim.Microsecond, "b", nil)
 	eng.Run(100 * sim.Microsecond)
 	c.EndWindow()
 	if got := c.Switches().Window(); got != 2 {
@@ -193,9 +193,9 @@ func TestNoSwitchCostSameDomain(t *testing.T) {
 	eng, c := newCPU()
 	a := c.NewDomain("a", KindGuest)
 	c.StartWindow()
-	a.Exec(CatKernel, sim.Microsecond, "t1", sim.Fn{})
+	a.Exec(CatKernel, sim.Microsecond, "t1", nil)
 	eng.Run(10 * sim.Microsecond)
-	a.Exec(CatKernel, sim.Microsecond, "t2", sim.Fn{})
+	a.Exec(CatKernel, sim.Microsecond, "t2", nil)
 	eng.Run(20 * sim.Microsecond)
 	c.EndWindow()
 	if got := c.Switches().Window(); got != 1 {
@@ -207,10 +207,10 @@ func TestWakesCounter(t *testing.T) {
 	eng, c := newCPU()
 	d := c.NewDomain("g", KindGuest)
 	d.Wakes().StartWindow()
-	d.Exec(CatKernel, sim.Microsecond, "t1", sim.Fn{})
-	d.Exec(CatKernel, sim.Microsecond, "t2", sim.Fn{}) // already runnable: no wake
+	d.Exec(CatKernel, sim.Microsecond, "t1", nil)
+	d.Exec(CatKernel, sim.Microsecond, "t2", nil) // already runnable: no wake
 	eng.Run(sim.Millisecond)
-	d.Exec(CatKernel, sim.Microsecond, "t3", sim.Fn{}) // blocked again: wake
+	d.Exec(CatKernel, sim.Microsecond, "t3", nil) // blocked again: wake
 	eng.Run(2 * sim.Millisecond)
 	if got := d.Wakes().Window(); got != 2 {
 		t.Fatalf("wakes = %d, want 2", got)
@@ -221,7 +221,7 @@ func TestZeroDurationTask(t *testing.T) {
 	eng, c := newCPU()
 	d := c.NewDomain("g", KindGuest)
 	ran := false
-	d.Exec(CatKernel, 0, "ctl", sim.RawFn(func() { ran = true }))
+	d.Exec(CatKernel, 0, "ctl", func() { ran = true })
 	eng.Run(sim.Millisecond)
 	if !ran {
 		t.Fatal("zero-duration task did not run")
@@ -236,7 +236,7 @@ func TestNegativeDurationPanics(t *testing.T) {
 			t.Fatal("negative duration must panic")
 		}
 	}()
-	d.Exec(CatKernel, -1, "bad", sim.Fn{})
+	d.Exec(CatKernel, -1, "bad", nil)
 }
 
 func TestProfileSumsToOneUnderLoad(t *testing.T) {
@@ -249,11 +249,11 @@ func TestProfileSumsToOneUnderLoad(t *testing.T) {
 	rng := sim.NewRNG(5)
 	for _, d := range doms {
 		d := d
-		var f sim.Fn
-		f = sim.RawFn(func() {
+		var f func()
+		f = func() {
 			cat := Cat(rng.Intn(3))
 			d.Exec(cat, sim.Time(rng.Intn(5000)+500), d.Name, f)
-		})
+		}
 		d.Exec(CatKernel, sim.Microsecond, "seed", f)
 	}
 	eng.Run(10 * sim.Millisecond)
@@ -275,7 +275,7 @@ func TestISRWhileIdleRunsImmediately(t *testing.T) {
 	c.StartWindow()
 	ran := sim.Time(-1)
 	eng.After(100*sim.Microsecond, "irq", func() {
-		c.ExecISR(2*sim.Microsecond, "isr", sim.RawFn(func() { ran = eng.Now() }))
+		c.ExecISR(2*sim.Microsecond, "isr", func() { ran = eng.Now() })
 	})
 	eng.Run(sim.Millisecond)
 	c.EndWindow()

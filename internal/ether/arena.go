@@ -20,9 +20,9 @@ package ether
 //   - Every drop path — link down, egress tail drop, qdisc overflow,
 //     foreign-MAC filter, detach teardown — Releases instead of
 //     silently discarding.
-//   - Frames built as plain literals (tests, snapshot restore) have
-//     no arena: Retain/Release are no-ops and the GC owns them. Model
-//     behavior is identical either way.
+//   - Frames built as plain literals (tests) have no arena:
+//     Retain/Release are no-ops and the GC owns them. Model behavior
+//     is identical either way.
 //
 // The generation counter increments on every free. It makes
 // use-after-release detectable — Retain/Release on a stale handle

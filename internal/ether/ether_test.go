@@ -375,3 +375,86 @@ func TestKeyedDeliveryOrder(t *testing.T) {
 		t.Fatalf("keyed delivery order = %v, want %v", got, want)
 	}
 }
+
+func TestBridgeUnlearn(t *testing.T) {
+	b := NewBridge()
+	for i := 0; i < 3; i++ {
+		b.AddPort(PortFunc(func(*Frame) {}))
+	}
+	if b.NumPorts() != 3 {
+		t.Fatalf("NumPorts = %d", b.NumPorts())
+	}
+	macs := []MAC{MakeMAC(7, 0), MakeMAC(7, 1), MakeMAC(7, 2)}
+	for i, m := range macs {
+		b.Input(i, &Frame{Src: m, Dst: Broadcast, Size: 60})
+	}
+	if n := b.Unlearn(1); n != 1 {
+		t.Fatalf("Unlearn removed %d entries, want 1", n)
+	}
+	if b.Lookup(macs[1]) != -1 {
+		t.Fatal("station still learned after Unlearn")
+	}
+	if b.Lookup(macs[0]) != 0 || b.Lookup(macs[2]) != 2 {
+		t.Fatal("Unlearn touched other ports' stations")
+	}
+	if n := b.Unlearn(1); n != 0 {
+		t.Fatalf("second Unlearn removed %d entries, want 0", n)
+	}
+}
+
+// TestBridgeLearnReportsPreviousPort: Learn re-points an entry and
+// returns where it pointed before (-1 when the MAC was unknown), and
+// the bridge then forwards to the new port.
+func TestBridgeLearnReportsPreviousPort(t *testing.T) {
+	b := NewBridge()
+	var hits []int
+	for i := 0; i < 3; i++ {
+		i := i
+		b.AddPort(PortFunc(func(*Frame) { hits = append(hits, i) }))
+	}
+	m := MakeMAC(8, 0)
+	if old := b.Learn(m, 1); old != -1 {
+		t.Fatalf("first Learn returned %d, want -1", old)
+	}
+	if old := b.Learn(m, 2); old != 1 {
+		t.Fatalf("re-Learn returned %d, want 1", old)
+	}
+	if b.Lookup(m) != 2 || b.Moves.Total() != 0 {
+		t.Fatalf("Lookup = %d, Moves = %d", b.Lookup(m), b.Moves.Total())
+	}
+	b.Input(0, &Frame{Src: MakeMAC(8, 1), Dst: m, Size: 60})
+	if fmt.Sprint(hits) != "[2]" {
+		t.Fatalf("unicast to learned port hit %v, want [2]", hits)
+	}
+}
+
+// TestPipeWindowAndDuplex: both directions of a duplex link deliver
+// independently, StartWindow zeroes the windowed counters while the
+// totals keep counting, and an idle pipe's NextFree is now.
+func TestPipeWindowAndDuplex(t *testing.T) {
+	eng := sim.New()
+	d := NewDuplex(eng, 1.0, 100)
+	var ab, ba int
+	d.AtoB.Connect(PortFunc(func(*Frame) { ab++ }))
+	d.BtoA.Connect(PortFunc(func(*Frame) { ba++ }))
+	d.AtoB.Send(&Frame{Size: 1514})
+	d.AtoB.Send(&Frame{Size: 1514})
+	d.BtoA.Send(&Frame{Size: 60})
+	eng.Run(sim.Millisecond)
+	if ab != 2 || ba != 1 {
+		t.Fatalf("deliveries a→b %d, b→a %d", ab, ba)
+	}
+	if got := d.AtoB.NextFree(); got != eng.Now() {
+		t.Fatalf("idle pipe NextFree = %v, want now %v", got, eng.Now())
+	}
+	p := d.AtoB
+	p.SetDown(true)
+	p.Send(&Frame{Size: 60})
+	p.StartWindow()
+	if p.Frames.Window() != 0 || p.Bytes.Window() != 0 || p.Dropped.Window() != 0 {
+		t.Fatal("StartWindow left windowed counts")
+	}
+	if p.Frames.Total() != 2 || p.Dropped.Total() != 1 {
+		t.Fatalf("totals: frames %d dropped %d", p.Frames.Total(), p.Dropped.Total())
+	}
+}

@@ -32,7 +32,7 @@ type Pipe struct {
 	// issue order and the per-frame delivery closure reduces to one
 	// bound callback plus a queue.
 	inflight  sim.FIFO[*Frame]
-	deliverFn sim.Fn
+	deliverFn func()
 
 	// down models a failed link (fault injection): while set, Send
 	// discards the frame at the transmitter. Frames already serialized
@@ -56,7 +56,7 @@ type Pipe struct {
 // NewPipe creates a unidirectional pipe at rate gbps.
 func NewPipe(eng *sim.Engine, gbps float64, propDelay sim.Time) *Pipe {
 	p := &Pipe{eng: eng, bytesPerNs: GbpsToBytesPerNs(gbps), propDelay: propDelay}
-	p.deliverFn = eng.Bind(p.deliver)
+	p.deliverFn = p.deliver
 	return p
 }
 
@@ -103,11 +103,11 @@ func (p *Pipe) Send(f *Frame) {
 		key := p.keyBase | p.sendSeq
 		p.sendSeq++
 		p.inflight.Push(f)
-		p.eng.AtFnKeyed(deliverAt, "ether.deliver", p.deliverFn, key)
+		p.eng.AtKeyed(deliverAt, "ether.deliver", p.deliverFn, key)
 		return
 	}
 	p.inflight.Push(f)
-	p.eng.AtFn(deliverAt, "ether.deliver", p.deliverFn)
+	p.eng.At(deliverAt, "ether.deliver", p.deliverFn)
 }
 
 func (p *Pipe) deliver() {

@@ -63,9 +63,8 @@ type CDNADriver struct {
 
 	// enqOps carries each staged batch through its asynchronous enqueue
 	// (hypercall or direct): the op is pushed when the charged task is
-	// scheduled and popped by the task body, in task-queue order. A
-	// queue instead of a captured closure keeps in-flight enqueues
-	// checkpointable.
+	// scheduled and popped by the task body, in task-queue order, so
+	// no per-batch closure is allocated.
 	enqOps sim.FIFO[enqOp]
 
 	rxHandler func(*ether.Frame)
@@ -76,8 +75,8 @@ type CDNADriver struct {
 	txIn sim.FIFO[*ether.Frame]
 	rxUp sim.FIFO[*ether.Frame]
 
-	txInFn, rxUpFn, virqFn, txBatchFn, rxBatchFn, kickFn sim.Fn
-	hcFn, directFn, rxPioFn                              sim.Fn
+	txInFn, rxUpFn, virqFn, txBatchFn, rxBatchFn, kickFn func()
+	hcFn, directFn, rxPioFn                              func()
 
 	TxDropped   stats.Counter
 	EnqueueErrs stats.Counter
@@ -113,16 +112,15 @@ func NewCDNADriver(dom *xen.Domain, m *mem.Memory, n *ricenic.NIC, ctx *core.Con
 		txBufs: make([]mem.PFN, RingEntries), rxBufs: make([]mem.PFN, RingEntries),
 		inflight: make([]*ether.Frame, RingEntries),
 	}
-	eng := dom.VCPU.Engine()
-	d.txInFn = eng.Bind(d.txEnqueueTask)
-	d.rxUpFn = eng.Bind(d.rxUpTask)
-	d.virqFn = eng.Bind(d.virqTask)
-	d.txBatchFn = eng.Bind(d.txBatchTask)
-	d.rxBatchFn = eng.Bind(d.rxBatchTask)
-	d.kickFn = eng.Bind(d.kickTask)
-	d.hcFn = eng.Bind(d.hypercallTask)
-	d.directFn = eng.Bind(d.directTask)
-	d.rxPioFn = eng.Bind(d.kickRxTask)
+	d.txInFn = d.txEnqueueTask
+	d.rxUpFn = d.rxUpTask
+	d.virqFn = d.virqTask
+	d.txBatchFn = d.txBatchTask
+	d.rxBatchFn = d.rxBatchTask
+	d.kickFn = d.kickTask
+	d.hcFn = d.hypercallTask
+	d.directFn = d.directTask
+	d.rxPioFn = d.kickRxTask
 	d.txPool = m.Alloc(dom.ID, PoolPages)
 	d.rxPool = m.Alloc(dom.ID, PoolPages)
 	n.AttachContext(ctx, func(idx uint32) *ether.Frame { return d.inflight[idx&(RingEntries-1)] })
@@ -434,23 +432,23 @@ func (d *CDNADriver) rxBatchTask() {
 func (d *CDNADriver) AttackForeignEnqueue(victim mem.Addr, cb func(error)) {
 	descs := []ring.Desc{{Addr: victim, Len: 1514, Flags: ring.FlagTx}}
 	if d.Direct {
-		d.Dom.VCPU.Exec(cpu.CatKernel, d.DirectPerDesc, "attack.direct", sim.RawFn(func() {
+		d.Dom.VCPU.Exec(cpu.CatKernel, d.DirectPerDesc, "attack.direct", func() {
 			_, err := d.Prot.DirectEnqueue(d.Dom.ID, d.Ctx.TxRing, descs)
 			cb(err)
-		}))
+		})
 		return
 	}
-	d.Dom.Hypercall(d.Dom.CDNAEnqueueCost(descs), "cdna_enqueue", sim.RawFn(func() {
+	d.Dom.Hypercall(d.Dom.CDNAEnqueueCost(descs), "cdna_enqueue", func() {
 		_, err := d.Dom.CDNAValidate(d.Ctx.TxRing, descs)
 		cb(err)
-	}))
+	})
 }
 
 // AttackStaleProducer forges a producer-index mailbox write `extra`
 // slots past the last valid descriptor, exposing stale ring contents —
 // the replay the sequence numbers must catch.
 func (d *CDNADriver) AttackStaleProducer(extra uint32) {
-	d.Dom.VCPU.Exec(cpu.CatKernel, d.Costs.PIO, "attack.pio", sim.RawFn(func() {
+	d.Dom.VCPU.Exec(cpu.CatKernel, d.Costs.PIO, "attack.pio", func() {
 		d.NIC.PIOWrite(ricenic.MailboxPIOAddr(d.Ctx.ID, ricenic.MboxTxProd), d.Ctx.TxRing.Prod()+extra)
-	}))
+	})
 }

@@ -217,6 +217,45 @@ func TestNativeDriverPoolRecycling(t *testing.T) {
 	}
 }
 
+// TestNativeDriverWrappedSlots drives the conventional driver until its
+// in-flight transmit window straddles a ring wrap (free-running indices
+// past RingEntries, slots running from the top of the table back to 0):
+// every in-flight ring index must look up the frame posted at that
+// index, and its descriptor must carry that frame's length.
+func TestNativeDriverWrappedSlots(t *testing.T) {
+	r := newNativeRig(t)
+	const n = 2*RingEntries + 300
+	sent := make([]*ether.Frame, n)
+	for i := range sent {
+		sent[i] = &ether.Frame{Size: 100 + i%1400, Src: r.drv.MAC()}
+		r.drv.StartXmit(sent[i])
+	}
+	d := r.drv
+	wrapped := func() bool {
+		cons, prod := d.lastTxCons, d.tx.Prod()
+		return prod > RingEntries && prod-cons > 1 && slot(cons) > slot(prod-1)
+	}
+	for !wrapped() {
+		if r.eng.Now() > sim.Second {
+			t.Fatalf("in-flight window never straddled a wrap (cons %d prod %d)", d.lastTxCons, d.tx.Prod())
+		}
+		r.eng.Run(r.eng.Now() + sim.Microsecond)
+	}
+	t.Logf("in flight: ring indices [%d, %d) at %v", d.lastTxCons, d.tx.Prod(), r.eng.Now())
+	for idx := d.lastTxCons; idx != d.tx.Prod(); idx++ {
+		if f := d.lookupTx(idx); f != sent[idx] {
+			t.Fatalf("ring index %d (slot %d) looks up %v, want frame %d", idx, slot(idx), f, idx)
+		}
+		desc, err := d.tx.ReadDesc(d.Mem, idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(desc.Len) != sent[idx].Size {
+			t.Fatalf("ring index %d: descriptor length %d, frame size %d", idx, desc.Len, sent[idx].Size)
+		}
+	}
+}
+
 // --- CDNADriver ---
 
 type cdnaRig struct {

@@ -58,7 +58,7 @@ type NativeDriver struct {
 	txIn sim.FIFO[*ether.Frame]
 	rxUp sim.FIFO[*ether.Frame]
 
-	txInFn, rxUpFn, irqFn, kickFn, rxKickFn sim.Fn
+	txInFn, rxUpFn, irqFn, kickFn, rxKickFn func()
 
 	TxDropped stats.Counter // backlog overflow (qdisc limit)
 }
@@ -71,12 +71,11 @@ func NewNativeDriver(dom *cpu.Domain, domID mem.DomID, m *mem.Memory, n *intelni
 		txBufs: make([]mem.PFN, RingEntries), rxBufs: make([]mem.PFN, RingEntries),
 		inflight: make([]*ether.Frame, RingEntries),
 	}
-	eng := dom.Engine()
-	d.txInFn = eng.Bind(d.txEnqueueTask)
-	d.rxUpFn = eng.Bind(d.rxUpTask)
-	d.irqFn = eng.Bind(d.irqTask)
-	d.kickFn = eng.Bind(d.kickTask)
-	d.rxKickFn = eng.Bind(d.rxKickTask)
+	d.txInFn = d.txEnqueueTask
+	d.rxUpFn = d.rxUpTask
+	d.irqFn = d.irqTask
+	d.kickFn = d.kickTask
+	d.rxKickFn = d.rxKickTask
 	ringPages := (RingEntries*ring.DefaultLayout.Size + mem.PageSize - 1) / mem.PageSize
 	var err error
 	d.tx, err = ring.New("intel.tx", ring.DefaultLayout, m.Alloc(domID, ringPages)[0].Base(), RingEntries)

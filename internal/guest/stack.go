@@ -88,11 +88,7 @@ type Stack struct {
 	// FIFO, so push/pop order matches and the per-packet capturing
 	// closure disappears.
 	rxQ  sim.FIFO[*transport.Segment]
-	rxFn sim.Fn
-
-	// senders is the roster of transmit adapters created by Sender, in
-	// creation order (checkpoint walk order).
-	senders []*sender
+	rxFn func()
 }
 
 // NewStack creates a stack on the domain's vCPU.
@@ -101,7 +97,7 @@ func NewStack(dom *cpu.Domain, costs StackCosts) *Stack {
 		costs.UserBatch = 16
 	}
 	s := &Stack{Dom: dom, Costs: costs}
-	s.rxFn = dom.Engine().Bind(s.deliverTask)
+	s.rxFn = s.deliverTask
 	return s
 }
 
@@ -129,7 +125,7 @@ func (s *Stack) Devices() []NetDevice { return s.devs }
 // domain (the workload layer's per-flow open hook).
 func (s *Stack) ChargeFlowSetup() {
 	if s.Costs.FlowSetup > 0 {
-		s.Dom.Exec(cpu.CatKernel, s.Costs.FlowSetup, "stack.flowopen", sim.Fn{})
+		s.Dom.Exec(cpu.CatKernel, s.Costs.FlowSetup, "stack.flowopen", nil)
 	}
 }
 
@@ -137,7 +133,7 @@ func (s *Stack) ChargeFlowSetup() {
 // domain (the workload layer's per-flow close hook).
 func (s *Stack) ChargeFlowTeardown() {
 	if s.Costs.FlowTeardown > 0 {
-		s.Dom.Exec(cpu.CatKernel, s.Costs.FlowTeardown, "stack.flowclose", sim.Fn{})
+		s.Dom.Exec(cpu.CatKernel, s.Costs.FlowTeardown, "stack.flowclose", nil)
 	}
 }
 
@@ -147,7 +143,7 @@ func (s *Stack) chargeUser() {
 	if s.userAcc >= s.Costs.UserBatch {
 		n := s.userAcc
 		s.userAcc = 0
-		s.Dom.Exec(cpu.CatUser, sim.Time(n)*s.Costs.UserPerData, "app.copy", sim.Fn{})
+		s.Dom.Exec(cpu.CatUser, sim.Time(n)*s.Costs.UserPerData, "app.copy", nil)
 	}
 }
 
@@ -159,15 +155,14 @@ type sender struct {
 	dev NetDevice
 	dst ether.MAC
 	q   sim.FIFO[*transport.Segment]
-	fn  sim.Fn
+	fn  func()
 }
 
 // Sender returns a transport send function that pushes segments out
 // through dev toward dstMAC, charging stack transmit costs.
 func (s *Stack) Sender(dev NetDevice, dstMAC ether.MAC) func(*transport.Segment) {
 	sn := &sender{s: s, dev: dev, dst: dstMAC}
-	sn.fn = s.Dom.Engine().Bind(sn.xmitTask)
-	s.senders = append(s.senders, sn)
+	sn.fn = sn.xmitTask
 	return sn.send
 }
 

@@ -58,7 +58,7 @@ type NIC struct {
 	raiseIRQ func()
 	lookupTx func(idx uint32) *ether.Frame
 
-	writebackDoneFn sim.Fn // bound once: raise the IRQ after the writeback DMA
+	writebackDoneFn func() // bound once: raise the IRQ after the writeback DMA
 
 	// rxDone accumulates completed receive frames between interrupts;
 	// the driver's IRQ task drains the burst in one swap (previously a
@@ -69,11 +69,11 @@ type NIC struct {
 // New creates the NIC with its wire attachment.
 func New(eng *sim.Engine, b *bus.Bus, m *mem.Memory, out *ether.Pipe, p Params, mac ether.MAC) *NIC {
 	n := &NIC{Name: "intel", MAC: mac, Params: p}
-	n.writebackDoneFn = eng.Bind(func() {
+	n.writebackDoneFn = func() {
 		if n.raiseIRQ != nil {
 			n.raiseIRQ()
 		}
-	})
+	}
 	n.E = nic.NewEngine(eng, b, m, out, p.Engine)
 	n.Coal = nic.NewCoalescer(eng, p.CoalesceDelay, p.CoalescePkts, func() {
 		// Consumer-index writeback then the physical interrupt.

@@ -2,7 +2,7 @@ package mem
 
 import (
 	"bytes"
-	"reflect"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -397,11 +397,11 @@ func TestPagesAcrossChunks(t *testing.T) {
 	}
 }
 
-// TestStateRoundTripAcrossChunks: a multi-chunk table with written,
-// never-written, pinned, freed and protected pages survives
-// State/SetState, and the restored memory keeps allocating where the
-// original left off.
-func TestStateRoundTripAcrossChunks(t *testing.T) {
+// TestPageBitsAcrossChunks: in a multi-chunk table, written,
+// never-written, pinned, freed and protected pages keep their contents
+// and bits on both sides of a chunk boundary, and the allocator reuses
+// the freed frame before growing the table.
+func TestPageBitsAcrossChunks(t *testing.T) {
 	m := New()
 	n := chunkPages + 100
 	allocAcrossChunks(t, m, n)
@@ -416,29 +416,20 @@ func TestStateRoundTripAcrossChunks(t *testing.T) {
 	m.Free(guestA, 7)
 	m.SetHypExclusive(chunkPages+2, true)
 
-	img := m.State()
-	if len(img.Pages) != n+1 || img.NextPFN != PFN(n+1) {
-		t.Fatalf("image has %d pages, NextPFN %d; want %d, %d", len(img.Pages), img.NextPFN, n+1, n+1)
-	}
-	if img.Pages[2].Data != nil {
-		t.Fatal("never-written page captured with contents")
-	}
-	r := New()
-	r.SetState(img)
-	if !reflect.DeepEqual(r.State(), img) {
-		t.Fatal("State after SetState differs from the image")
-	}
 	for i, p := range written {
-		got, err := r.Read(p.Base()+Addr(i), 2)
+		got, err := m.Read(p.Base()+Addr(i), 2)
 		if err != nil || got[0] != byte(0x10+i) || got[1] != 0xff {
-			t.Fatalf("pfn %d contents %v (err %v) after restore", p, got, err)
+			t.Fatalf("pfn %d contents %v (err %v)", p, got, err)
 		}
 	}
-	if r.Refs(chunkPages+1) != 1 || !r.HypExclusive(chunkPages+2) || r.Owner(7) != DomInvalid {
-		t.Fatal("restored page bits differ")
+	if got, err := m.Read(PFN(2).Base(), 2); err != nil || got[0] != 0 || got[1] != 0 {
+		t.Fatalf("never-written pfn 2 reads %v (err %v)", got, err)
 	}
-	if got := r.Alloc(guestB, 2); got[0] != 7 || got[1] != PFN(n+1) {
-		t.Fatalf("restored allocator handed out %v; want [7 %d]", got, n+1)
+	if m.Refs(chunkPages+1) != 1 || !m.HypExclusive(chunkPages+2) || m.Owner(7) != DomInvalid {
+		t.Fatal("page bits differ")
+	}
+	if got := m.Alloc(guestB, 2); got[0] != 7 || got[1] != PFN(n+1) {
+		t.Fatalf("allocator handed out %v; want [7 %d]", got, n+1)
 	}
 }
 
@@ -460,5 +451,43 @@ func TestReuseNeverWrittenPage(t *testing.T) {
 	}
 	if !bytes.Equal(got, make([]byte, PageSize)) {
 		t.Fatal("never-written reused page does not read as zeros")
+	}
+}
+
+// TestUnallocatedFrameErrors: every page operation on a frame beyond
+// the allocated table reports ErrNoPage (or a zero answer) instead of
+// growing the table or touching another page.
+func TestUnallocatedFrameErrors(t *testing.T) {
+	m := New()
+	m.AllocOne(guestA)
+	ghost := PFN(chunkPages + 5) // past the table's only chunk
+	for name, err := range map[string]error{
+		"Free":            m.Free(guestA, ghost),
+		"Get":             m.Get(ghost),
+		"Put":             m.Put(ghost),
+		"Transfer":        m.Transfer(ghost, guestA, guestB),
+		"SetHypExclusive": m.SetHypExclusive(ghost, true),
+		"Write":           m.Write(ghost.Base(), []byte{1}),
+		"WriteAs":         m.WriteAs(guestA, ghost.Base(), []byte{1}),
+	} {
+		if !errors.Is(err, ErrNoPage) {
+			t.Errorf("%s on an unallocated frame: %v, want ErrNoPage", name, err)
+		}
+	}
+	if _, err := m.Read(ghost.Base(), 4); !errors.Is(err, ErrNoPage) {
+		t.Errorf("Read on an unallocated frame: %v, want ErrNoPage", err)
+	}
+	if m.Refs(ghost) != 0 || m.HypExclusive(ghost) {
+		t.Error("unallocated frame reports page bits")
+	}
+	if m.DeviceWritten(guestB) != 0 {
+		t.Error("DeviceWritten for a domain with no pages")
+	}
+	// An empty WriteAs checks only the first page's permissions.
+	if err := m.WriteAs(guestA, PFN(1).Base(), nil); err != nil {
+		t.Fatalf("empty WriteAs on an owned page: %v", err)
+	}
+	if err := m.WriteAs(guestB, PFN(1).Base(), nil); !errors.Is(err, ErrNotOwner) {
+		t.Fatalf("empty WriteAs on a foreign page: %v, want ErrNotOwner", err)
 	}
 }

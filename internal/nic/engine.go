@@ -78,15 +78,13 @@ type queue struct {
 	rxFifo     sim.FIFO[txEntry]
 	txFetching bool
 	rxFetching bool
-	txConsumed uint32 // free-running count of tx descriptors completed
-	rxConsumed uint32
 
 	// In-flight descriptor-fetch parameters plus the completion
 	// callbacks bound at AddQueue: at most one fetch per direction is
 	// outstanding, so the old per-fetch closure's captures live here.
 	txFetchN, rxFetchN         int
 	txFetchStart, rxFetchStart uint32
-	txDescDoneFn, rxDescDoneFn sim.Fn
+	txDescDoneFn, rxDescDoneFn func()
 
 	// On-NIC receive packet buffer: frames waiting for a descriptor
 	// fetch to complete (§4's per-context buffering).
@@ -127,9 +125,9 @@ type Engine struct {
 	txProcJobs, txDmaJobs sim.FIFO[txJob]
 	rxProcJobs, rxDmaJobs sim.FIFO[rxJob]
 
-	txProcDoneFn, txDmaDoneFn sim.Fn
-	rxProcDoneFn, rxDmaDoneFn sim.Fn
-	pumpStepFn                sim.Fn
+	txProcDoneFn, txDmaDoneFn func()
+	rxProcDoneFn, rxDmaDoneFn func()
+	pumpStepFn                func()
 
 	TxPackets  stats.Counter
 	RxPackets  stats.Counter
@@ -142,11 +140,11 @@ type Engine struct {
 // flows.
 func NewEngine(eng *sim.Engine, b *bus.Bus, m *mem.Memory, out *ether.Pipe, p Params) *Engine {
 	e := &Engine{Eng: eng, Bus: b, Mem: m, Out: out, Proc: NewServer(eng), Params: p}
-	e.txProcDoneFn = eng.Bind(e.txProcDone)
-	e.txDmaDoneFn = eng.Bind(e.txDmaDone)
-	e.rxProcDoneFn = eng.Bind(e.rxProcDone)
-	e.rxDmaDoneFn = eng.Bind(e.rxDmaDone)
-	e.pumpStepFn = eng.Bind(e.pumpStep)
+	e.txProcDoneFn = e.txProcDone
+	e.txDmaDoneFn = e.txDmaDone
+	e.rxProcDoneFn = e.rxProcDone
+	e.rxDmaDoneFn = e.rxDmaDone
+	e.pumpStepFn = e.pumpStep
 	return e
 }
 
@@ -154,8 +152,8 @@ func NewEngine(eng *sim.Engine, b *bus.Bus, m *mem.Memory, out *ether.Pipe, p Pa
 // queue id.
 func (e *Engine) AddQueue(tx, rx *ring.Ring) int {
 	q := &queue{id: len(e.queues), tx: tx, rx: rx, active: true}
-	q.txDescDoneFn = e.Eng.Bind(func() { e.txDescDone(q) })
-	q.rxDescDoneFn = e.Eng.Bind(func() { e.rxDescDone(q) })
+	q.txDescDoneFn = func() { e.txDescDone(q) }
+	q.rxDescDoneFn = func() { e.rxDescDone(q) }
 	e.queues = append(e.queues, q)
 	return q.id
 }
@@ -320,7 +318,7 @@ func (e *Engine) pumpStep() {
 	if e.Out != nil {
 		limit := sim.Time(e.Params.TxWindow) * slot
 		if bl := e.Out.Backlog(); bl > limit {
-			e.Eng.AfterFn(bl-limit, "nic.pace", e.pumpStepFn)
+			e.Eng.After(bl-limit, "nic.pace", e.pumpStepFn)
 			return
 		}
 	}
@@ -378,7 +376,6 @@ func (e *Engine) completeTx(q *queue) {
 	if q.tx.Avail() > 0 {
 		q.tx.Consume(1) // host-visible consumer index writeback
 	}
-	q.txConsumed++
 	if e.Hooks.OnCompletion != nil {
 		e.Hooks.OnCompletion(q.id, true)
 	}
@@ -452,7 +449,6 @@ func (e *Engine) rxDmaDone() {
 	if q.rx.Avail() > 0 {
 		q.rx.Consume(1)
 	}
-	q.rxConsumed++
 	e.RxPackets.Inc()
 	if e.Hooks.OnRxDelivered != nil {
 		e.Hooks.OnRxDelivered(q.id, j.f, j.entry.desc)

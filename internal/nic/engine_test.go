@@ -272,8 +272,8 @@ func TestServerFIFO(t *testing.T) {
 	eng := sim.New()
 	s := NewServer(eng)
 	var order []int
-	s.Do(10, "a", sim.RawFn(func() { order = append(order, 1) }))
-	s.Do(10, "b", sim.RawFn(func() { order = append(order, 2) }))
+	s.Do(10, "a", func() { order = append(order, 1) })
+	s.Do(10, "b", func() { order = append(order, 2) })
 	if s.Backlog() != 20 {
 		t.Fatalf("Backlog = %v", s.Backlog())
 	}

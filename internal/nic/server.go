@@ -31,14 +31,14 @@ func NewServer(eng *sim.Engine) *Server { return &Server{eng: eng} }
 // Completions fire in issue order (FIFO), so callers can thread
 // per-item state through a sim.FIFO paired with a callback bound once
 // instead of capturing it in a fresh closure per call.
-func (s *Server) Do(cost sim.Time, name string, fn sim.Fn) {
+func (s *Server) Do(cost sim.Time, name string, fn func()) {
 	start := s.eng.Now()
 	if s.busyUntil > start {
 		start = s.busyUntil
 	}
 	s.busyUntil = start + cost
 	s.Ops.Inc()
-	s.eng.AtFn(s.busyUntil, name, fn)
+	s.eng.At(s.busyUntil, name, fn)
 }
 
 // Backlog returns the queued processing time.

@@ -97,8 +97,8 @@ type NIC struct {
 	// bitvecDoneFn; with decodeDoneFn these are the firmware's
 	// per-interrupt/per-mailbox callbacks bound once at New.
 	postedVecs   sim.FIFO[uint32]
-	bitvecDoneFn sim.Fn
-	decodeDoneFn sim.Fn
+	bitvecDoneFn func()
+	decodeDoneFn func()
 }
 
 // SetPromiscuous routes frames whose destination MAC matches no context
@@ -123,8 +123,8 @@ func New(eng *sim.Engine, b *bus.Bus, m *mem.Memory, out *ether.Pipe, p Params) 
 		return nil, err
 	}
 	n.BitVec = bv
-	n.bitvecDoneFn = eng.Bind(n.bitvecDone)
-	n.decodeDoneFn = eng.Bind(n.decodeDone)
+	n.bitvecDoneFn = n.bitvecDone
+	n.decodeDoneFn = n.decodeDone
 	n.E = nic.NewEngine(eng, b, m, out, p.Engine)
 	n.Coal = nic.NewCoalescer(eng, p.CoalesceDelay, p.CoalescePkts, n.fireInterrupt)
 	rxDelay := p.RxCoalesceDelay

@@ -31,8 +31,8 @@ func (b *DoubleBuf[T]) Append(v T) { b.cur = append(b.cur, v) }
 // Len returns the current burst's length.
 func (b *DoubleBuf[T]) Len() int { return len(b.cur) }
 
-// At returns the i-th element of the current (undrained) burst —
-// checkpoint walks use it to capture pending completions in order.
+// At returns the i-th element of the current (undrained) burst, for
+// teardown paths that release what was never drained.
 func (b *DoubleBuf[T]) At(i int) T { return b.cur[i] }
 
 // Drain returns the accumulated burst and resets the buffer for the

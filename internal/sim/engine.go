@@ -60,8 +60,6 @@ type Event struct {
 	next  *Event // intrusive wheel-slot list links (nil when unqueued
 	prev  *Event // or when queued in the reference heap)
 	index int32  // queue position: heap index or wheel slot; -1 when not queued
-	fnID  int32  // callback registry identity (see fn.go); -1 raw, 0 none
-	tm    int32  // owning Timer's registry index (meaningful iff timer)
 	gen   uint32 // bumped on every recycle; stale Handles mismatch
 	timer bool   // owned by a Timer, never returned to the pool
 }
@@ -113,13 +111,6 @@ type Engine struct {
 	fired   uint64
 	tracer  *Tracer
 	q       queueImpl // the event queue; concrete type, see sched_select_*.go
-
-	// Checkpoint registries (fn.go, snapshot.go): callbacks bound and
-	// timers created during machine construction, in construction
-	// order. Deterministic construction makes the indices stable
-	// identities a snapshot can record.
-	binds  []func()
-	timers []*Timer
 }
 
 // New returns an Engine with the clock at zero and the finest (1 ns)
@@ -196,49 +187,44 @@ func (e *Engine) release(ev *Event) {
 	}
 	ev.gen++
 	ev.fn = nil
-	ev.fnID = 0
 	ev.name = ""
 	e.free = append(e.free, ev)
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
-// panics: it always indicates a model bug. The callback is raw (see
-// RawFn): fine for tests and tooling, but model layers schedule bound
-// callbacks through AtFn so pending events stay snapshotable.
+// panics: it always indicates a model bug. Model layers pass callbacks
+// they bound once at construction (a method value stored in a field),
+// never a fresh closure or method value per schedule: the engine itself
+// allocates nothing per event, so the caller decides whether the hot
+// path does.
 func (e *Engine) At(t Time, name string, fn func()) Handle {
-	return e.AtFn(t, name, RawFn(fn))
-}
-
-// AtFn schedules a registered callback to run at absolute time t.
-func (e *Engine) AtFn(t Time, name string, fn Fn) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event %q scheduled at %v before now %v", name, t, e.now))
 	}
 	e.seq++
 	ev := e.alloc()
-	ev.at, ev.seq, ev.name, ev.fn, ev.fnID = t, e.seq, name, fn.f, fn.id
+	ev.at, ev.seq, ev.name, ev.fn = t, e.seq, name, fn
 	e.q.push(ev)
 	return Handle{ev: ev, gen: ev.gen}
 }
 
 // SeqBand is the high sequence bit that separates key-sequenced events
-// (AtFnKeyed) from counter-sequenced ones: any keyed sequence has it
+// (AtKeyed) from counter-sequenced ones: any keyed sequence has it
 // set, so keyed events order after every counter-sequenced event at the
 // same instant, regardless of scheduling order. Counter sequences can
 // never reach it (2^62 events is beyond any feasible run).
 const SeqBand uint64 = 1 << 62
 
-// AtFnKeyed schedules a registered callback at absolute time t with an
-// explicit sequence key instead of the engine counter. The key decides
-// ordering among same-time events, which makes the order a pure function
-// of the caller's key assignment rather than of which component
-// happened to schedule first. Fabric pipes key deliveries by (pipe
-// identity, send order) this way (ether.Pipe.EnableKeyed), so
-// same-instant arrivals on different pipes always run in the same
-// order. Keys must have SeqBand set
-// (checked) and be unique among pending events; the engine counter is
-// not consumed.
-func (e *Engine) AtFnKeyed(t Time, name string, fn Fn, key uint64) Handle {
+// AtKeyed schedules fn at absolute time t with an explicit sequence
+// key instead of the engine counter. The key decides ordering among
+// same-time events, which makes the order a pure function of the
+// caller's key assignment rather than of which component happened to
+// schedule first. Fabric pipes key deliveries by (pipe identity, send
+// order) this way (ether.Pipe.EnableKeyed), so same-instant arrivals on
+// different pipes always run in the same order. Keys must have SeqBand
+// set (checked) and be unique among pending events; the engine counter
+// is not consumed.
+func (e *Engine) AtKeyed(t Time, name string, fn func(), key uint64) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event %q scheduled at %v before now %v", name, t, e.now))
 	}
@@ -246,22 +232,17 @@ func (e *Engine) AtFnKeyed(t Time, name string, fn Fn, key uint64) Handle {
 		panic(fmt.Sprintf("sim: keyed event %q without SeqBand in key %#x", name, key))
 	}
 	ev := e.alloc()
-	ev.at, ev.seq, ev.name, ev.fn, ev.fnID = t, key, name, fn.f, fn.id
+	ev.at, ev.seq, ev.name, ev.fn = t, key, name, fn
 	e.q.push(ev)
 	return Handle{ev: ev, gen: ev.gen}
 }
 
 // After schedules fn to run d nanoseconds from now. Negative d panics.
 func (e *Engine) After(d Time, name string, fn func()) Handle {
-	return e.AfterFn(d, name, RawFn(fn))
-}
-
-// AfterFn schedules a registered callback d nanoseconds from now.
-func (e *Engine) AfterFn(d Time, name string, fn Fn) Handle {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: event %q scheduled with negative delay %v", name, d))
 	}
-	return e.AtFn(e.now+d, name, fn)
+	return e.At(e.now+d, name, fn)
 }
 
 // fire executes the already-dequeued event ev. Pooled events are

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -262,5 +263,110 @@ func TestRNGJitterBounds(t *testing.T) {
 		if j < Time(float64(d)*0.9) || j > Time(float64(d)*1.1) {
 			t.Fatalf("jitter out of bounds: %v", j)
 		}
+	}
+}
+
+func TestRNGExpAndPareto(t *testing.T) {
+	r := NewRNG(5)
+	const n = 20000
+	var expSum, parSum float64
+	for i := 0; i < n; i++ {
+		x := r.Exp(10)
+		if x < 0 {
+			t.Fatalf("Exp drew %v < 0", x)
+		}
+		expSum += x
+		p := r.Pareto(3, 2)
+		if p < 2 {
+			t.Fatalf("Pareto drew %v below its minimum 2", p)
+		}
+		parSum += p
+	}
+	if m := expSum / n; m < 9.5 || m > 10.5 {
+		t.Fatalf("Exp(10) sample mean %v", m)
+	}
+	if m := parSum / n; m < 2.8 || m > 3.2 { // alpha*xm/(alpha-1) = 3
+		t.Fatalf("Pareto(3, 2) sample mean %v", m)
+	}
+}
+
+func TestRNGIntnPanicsOnNonPositive(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Intn(0) must panic")
+		}
+	}()
+	NewRNG(1).Intn(0)
+}
+
+func TestEngineNextAt(t *testing.T) {
+	e := New()
+	if _, ok := e.NextAt(); ok {
+		t.Fatal("empty engine reports a next event")
+	}
+	e.After(40, "b", func() {})
+	h := e.After(25, "a", func() {})
+	if at, ok := e.NextAt(); !ok || at != 25 {
+		t.Fatalf("NextAt = %v, %v; want 25", at, ok)
+	}
+	if h.When() != 25 {
+		t.Fatalf("When = %v", h.When())
+	}
+	h.Cancel()
+	if h.When() != 0 {
+		t.Fatal("cancelled handle still reports a firing time")
+	}
+	if at, _ := e.NextAt(); at != 40 {
+		t.Fatalf("NextAt after cancel = %v; want 40", at)
+	}
+	if e.Traced() {
+		t.Fatal("untraced engine reports a tracer")
+	}
+	e.Attach(4)
+	if !e.Traced() {
+		t.Fatal("Attach did not install a tracer")
+	}
+}
+
+// TestAtKeyedOrdering: keyed events order by key among themselves and
+// after every counter-sequenced event at the same instant, whatever
+// the scheduling order; keyed timers follow the same rule.
+func TestAtKeyedOrdering(t *testing.T) {
+	e := New()
+	var order []string
+	rec := func(s string) func() { return func() { order = append(order, s) } }
+	e.AtKeyed(10, "k2", rec("k2"), SeqBand|2)
+	e.AtKeyed(10, "k1", rec("k1"), SeqBand|1)
+	tm := e.NewTimer("kt", rec("kt"))
+	tm.ArmKeyed(10, SeqBand|3)
+	e.At(10, "plain", rec("plain"))
+	e.Run(20)
+	if got, want := fmt.Sprint(order), "[plain k1 k2 kt]"; got != want {
+		t.Fatalf("order = %s, want %s", got, want)
+	}
+
+	// Re-arming a queued keyed timer moves it.
+	tm.ArmKeyed(30, SeqBand|9)
+	tm.ArmKeyed(25, SeqBand|9)
+	if tm.When() != 25 {
+		t.Fatalf("re-armed keyed timer fires at %v, want 25", tm.When())
+	}
+
+	for name, f := range map[string]func(){
+		"keyless":        func() { e.AtKeyed(40, "x", nil, 7) },
+		"past":           func() { e.AtKeyed(5, "x", nil, SeqBand|1) },
+		"timer keyless":  func() { tm.ArmKeyed(40, 7) },
+		"timer past":     func() { tm.ArmKeyed(5, SeqBand|1) },
+		"timer arm past": func() { tm.Arm(5) },
+		"timer negative": func() { tm.ArmAfter(-1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
 	}
 }

@@ -54,15 +54,6 @@ func (q *FIFO[T]) Pop() T {
 	return v
 }
 
-// At returns the i-th queued item (0 is the head) without removing it.
-// Checkpoint capture walks queues with it.
-func (q *FIFO[T]) At(i int) T {
-	if i < 0 || i >= q.size {
-		panic("sim: FIFO.At out of range")
-	}
-	return q.buf[(q.head+i)&(len(q.buf)-1)]
-}
-
 // Peek returns the head without removing it.
 func (q *FIFO[T]) Peek() T {
 	if q.size == 0 {

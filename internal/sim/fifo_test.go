@@ -160,3 +160,84 @@ func TestFIFOGrowPreservesOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestFIFOPushFrontWrap: PushFront prepends at the head, including
+// across the ring's wrap point, and pops keep queue order.
+func TestFIFOPushFrontWrap(t *testing.T) {
+	var q FIFO[int]
+	for i := 1; i <= 3; i++ {
+		q.Push(i)
+	}
+	q.PushFront(0)
+	if q.Len() != 4 || q.Peek() != 0 {
+		t.Fatalf("len=%d peek=%d", q.Len(), q.Peek())
+	}
+	// Wrap the ring: pop two, push two, then prepend past slot 0.
+	q.Pop()
+	q.Pop()
+	q.Push(4)
+	q.Push(5)
+	q.PushFront(1)
+	for want := 1; want <= 5; want++ {
+		if v := q.Pop(); v != want {
+			t.Fatalf("Pop = %d, want %d", v, want)
+		}
+	}
+	// PushFront on a full ring grows it.
+	var g FIFO[int]
+	for i := 1; i <= 8; i++ {
+		g.Push(i)
+	}
+	g.PushFront(0)
+	for want := 0; want <= 8; want++ {
+		if v := g.Pop(); v != want {
+			t.Fatalf("grown Pop = %d, want %d", v, want)
+		}
+	}
+}
+
+func TestFIFOPeekEmptyPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Peek of empty FIFO must panic")
+		}
+	}()
+	var q FIFO[int]
+	q.Peek()
+}
+
+// TestDoubleBufDrainSwaps: a drained burst stays readable while the
+// next one accumulates in the spare buffer, and steady-state
+// append/drain cycles allocate nothing.
+func TestDoubleBufDrainSwaps(t *testing.T) {
+	var b DoubleBuf[int]
+	b.Append(1)
+	b.Append(2)
+	if b.Len() != 2 || b.At(0) != 1 || b.At(1) != 2 {
+		t.Fatalf("burst len=%d", b.Len())
+	}
+	first := b.Drain()
+	if b.Len() != 0 || len(first) != 2 || first[0] != 1 || first[1] != 2 {
+		t.Fatalf("drained %v, len after %d", first, b.Len())
+	}
+	b.Append(3)
+	if first[0] != 1 {
+		t.Fatal("appending overwrote the burst just drained")
+	}
+	if second := b.Drain(); len(second) != 1 || second[0] != 3 {
+		t.Fatalf("second burst %v", second)
+	}
+	b.Append(4)
+	b.Reset()
+	if b.Len() != 0 || len(b.Drain()) != 0 {
+		t.Fatal("Reset kept the burst")
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		b.Append(5)
+		b.Append(6)
+		b.Drain()
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state DoubleBuf allocates %.1f/op, want 0", allocs)
+	}
+}

@@ -19,13 +19,6 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
-// State returns the generator's internal state (checkpoint capture).
-func (r *RNG) State() uint64 { return r.state }
-
-// SetState overwrites the generator's internal state (checkpoint
-// restore). The argument must come from State.
-func (r *RNG) SetState(s uint64) { r.state = s }
-
 // Uint64 returns the next 64 random bits (splitmix64).
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15

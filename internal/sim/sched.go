@@ -39,14 +39,6 @@ type scheduler interface {
 	reschedule(ev *Event)
 	// len returns the number of queued events.
 	len() int
-	// each visits every queued event in unspecified order (checkpoint
-	// capture; the caller sorts by (at, seq)).
-	each(f func(*Event))
-	// reset empties the queue structurally without touching the
-	// events' link fields — callers detach events via each first —
-	// and re-seats the clock at t, which must not exceed any event
-	// subsequently pushed (checkpoint restore).
-	reset(t Time)
 }
 
 // Compile-time checks: both implementations satisfy the seam, so the

@@ -76,14 +76,6 @@ func (h *heapSched) reschedule(ev *Event) {
 	h.fix(int(ev.index))
 }
 
-func (h *heapSched) each(f func(*Event)) {
-	for _, ev := range h.pq {
-		f(ev)
-	}
-}
-
-func (h *heapSched) reset(t Time) { h.pq = nil }
-
 func (h *heapSched) fix(i int) {
 	if !h.siftDown(i) {
 		h.siftUp(i)

@@ -122,21 +122,6 @@ func (h *hybridSched) reschedule(ev *Event) {
 	h.push(ev)
 }
 
-func (h *hybridSched) each(f func(*Event)) {
-	for _, ev := range h.run {
-		f(ev)
-	}
-	h.w.each(f)
-}
-
-func (h *hybridSched) reset(t Time) {
-	for i := range h.run {
-		h.run[i] = nil
-	}
-	h.run = h.run[:0]
-	h.w.reset(t)
-}
-
 // promote drains the wheel's level-0 slots — events in the clock's
 // current window — into the run. Each event is promoted at most once
 // (it leaves the wheel for good), so the amortized cost per event is

@@ -244,34 +244,6 @@ func (w *wheelSched) advance(t uint64) {
 	}
 }
 
-// each visits every queued event (all slots plus overflow), in wheel
-// order — unspecified as far as callers are concerned.
-func (w *wheelSched) each(f func(*Event)) {
-	for l := 0; l < wheelLevels; l++ {
-		for s := 0; s < wheelSlots; s++ {
-			sent := &w.slots[l][s]
-			for ev := sent.next; ev != sent; ev = ev.next {
-				f(ev)
-			}
-		}
-	}
-	for ev := w.over.next; ev != &w.over; ev = ev.next {
-		f(ev)
-	}
-}
-
-// reset re-initializes the wheel to empty with the clock at t's tick.
-// Restore then re-pushes events whose timestamps are all >= t, so every
-// placement distance is computed against a clock no later than the
-// wheel would have reached organically — order-correct regardless of
-// where the donor wheel's clock stood.
-func (w *wheelSched) reset(t Time) {
-	gshift := w.gshift
-	*w = wheelSched{}
-	w.init(gshift)
-	w.cur = w.tick(t)
-}
-
 // cascade relocates every event remaining in slot (l, s) one or more
 // levels down after the clock entered the slot's span.
 func (w *wheelSched) cascade(l, s int) {

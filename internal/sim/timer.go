@@ -22,14 +22,9 @@ type Timer struct {
 // component the callback is a method of. The timer starts unarmed.
 func (e *Engine) NewTimer(name string, fn func()) *Timer {
 	t := &Timer{eng: e}
-	t.ev = Event{eng: e, name: name, fn: fn, index: -1, timer: true, tm: int32(len(e.timers))}
-	e.timers = append(e.timers, t)
+	t.ev = Event{eng: e, name: name, fn: fn, index: -1, timer: true}
 	return t
 }
-
-// Timers returns the number of registered timers — like Binds, a
-// structural fingerprint for snapshot headers.
-func (e *Engine) Timers() int { return len(e.timers) }
 
 // Arm schedules (or reschedules) the timer to fire at absolute time at.
 func (t *Timer) Arm(at Time) {
@@ -55,7 +50,7 @@ func (t *Timer) ArmAfter(d Time) {
 }
 
 // ArmKeyed schedules (or reschedules) the timer to fire at absolute
-// time at with an explicit sequence key (see AtFnKeyed): the key, not
+// time at with an explicit sequence key (see AtKeyed): the key, not
 // the arming moment, decides ordering against other same-time events.
 // The multi-host fault injector arms itself this way so a fault applies
 // after every ordinary event at its instant, keyed fabric deliveries

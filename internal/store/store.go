@@ -22,7 +22,7 @@
 //
 // The package is deliberately ignorant of what payloads mean;
 // internal/campaign owns the experiment-result encoding and the key
-// derivation (config hash + engine registry fingerprint).
+// derivation (config hash + build identity).
 package store
 
 import (

@@ -96,7 +96,7 @@ type Switch struct {
 	// ForwardLatency is constant, so completion order is issue order and
 	// one bound callback serves every frame.
 	pendQ     sim.FIFO[pending]
-	forwardFn sim.Fn
+	forwardFn func()
 
 	// Multi-tier routing state (empty for a classic single-tier ToR,
 	// which keeps pure learning-bridge semantics): uplinks lists the
@@ -128,7 +128,7 @@ func New(eng *sim.Engine, p Params) *Switch {
 		p.EgressCap = DefaultParams().EgressCap
 	}
 	s := &Switch{eng: eng, p: p, bridge: ether.NewBridge()}
-	s.forwardFn = eng.Bind(s.forward)
+	s.forwardFn = s.forward
 	return s
 }
 
@@ -241,7 +241,7 @@ func (s *Switch) Input(in int, f *ether.Frame) {
 	}
 	s.Inputs.Inc()
 	s.pendQ.Push(pending{f: f, in: int32(in)})
-	s.eng.AfterFn(s.p.ForwardLatency, "topo.forward", s.forwardFn)
+	s.eng.After(s.p.ForwardLatency, "topo.forward", s.forwardFn)
 }
 
 // forward runs after ForwardLatency: standard learning-bridge semantics

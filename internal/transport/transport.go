@@ -57,7 +57,7 @@ func (a Addr) String() string {
 // reference-counted: the frame carrying a segment owns one reference
 // (released when the frame is freed), and a receive path that keeps
 // the segment past the frame's lifetime (a stack rx queue) retains its
-// own. Segments built as plain literals (tests, snapshot restore) have
+// own. Segments built as plain literals (tests) have
 // no pool; their Retain/Release are no-ops and the garbage collector
 // owns them. Pooled segments are immutable once handed to the send
 // path.

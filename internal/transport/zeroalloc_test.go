@@ -22,18 +22,18 @@ func TestSegmentRoundTripZeroAlloc(t *testing.T) {
 	c := transport.NewConn(eng, 0, transport.DefaultSegSize, 32)
 	c.SetPool(pool)
 	var wire sim.FIFO[*transport.Segment]
-	deliver := eng.Bind(func() {
+	deliver := func() {
 		s := wire.Pop()
 		transport.Dispatch(s)
 		s.Release()
-	})
+	}
 	c.AttachSender(func(s *transport.Segment) {
 		wire.Push(s)
-		eng.AfterFn(10*sim.Microsecond, "wire", deliver)
+		eng.After(10*sim.Microsecond, "wire", deliver)
 	})
 	c.AttachReceiver(func(s *transport.Segment) {
 		wire.Push(s)
-		eng.AfterFn(10*sim.Microsecond, "wire", deliver)
+		eng.After(10*sim.Microsecond, "wire", deliver)
 	})
 	drain := func() { eng.Run(eng.Now() + sim.Millisecond) }
 	c.Send(64)

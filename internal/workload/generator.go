@@ -49,9 +49,6 @@ type Generator struct {
 	trace *FlowTrace
 	// traceSkipped counts trace events with no matching endpoint.
 	traceSkipped int
-	// traceDone guards the one-shot trace assignment (Launch or
-	// SetState, whichever runs first).
-	traceDone bool
 
 	// Requests counts completed RPC exchanges (RequestResponse).
 	Requests stats.Counter
@@ -75,7 +72,7 @@ type endpoint struct {
 	timer   *sim.Timer // think / gap / burst-phase / arrival timer
 	t0      sim.Time   // outstanding message's issue (or arrival) time
 	on      bool       // burst: currently in an on-period
-	startFn sim.Fn     // kind-appropriate Launch callback, bound at Add
+	startFn func()     // kind-appropriate Launch callback, bound at Add
 
 	// Open-loop state (Poisson, Pareto, Trace). The backlog is a count
 	// plus what it takes to replay the waiting flows (see openloop.go):
@@ -140,26 +137,26 @@ func (g *Generator) Add(ep Endpoint) error {
 	e.rng = sim.NewRNG(g.spec.Seed + uint64(len(g.eps))*0x9e3779b97f4a7c15)
 	switch g.spec.Kind {
 	case Bulk:
-		e.startFn = g.eng.Bind(ep.Fwd.Start)
+		e.startFn = ep.Fwd.Start
 	case RequestResponse:
 		e.timer = g.eng.NewTimer("workload.think", e.issue)
-		e.startFn = g.eng.Bind(e.issue)
+		e.startFn = e.issue
 		ep.Fwd.OnMark = e.serve
 		ep.Rev.OnMark = e.onResponse
 	case Churn:
 		e.timer = g.eng.NewTimer("workload.gap", e.openFlow)
-		e.startFn = g.eng.Bind(e.openFlow)
+		e.startFn = e.openFlow
 		ep.Fwd.OnSendComplete = e.onFlowDone
 	case Burst:
 		e.timer = g.eng.NewTimer("workload.burst", e.togglePhase)
-		e.startFn = g.eng.Bind(e.startBurst)
+		e.startFn = e.startBurst
 	case Poisson, Pareto:
 		e.timer = g.eng.NewTimer("workload.arrival", e.onArrival)
-		e.startFn = g.eng.Bind(e.startOpenLoop)
+		e.startFn = e.startOpenLoop
 		ep.Fwd.OnSendComplete = e.onOpenFlowDone
 	case Trace:
 		e.timer = g.eng.NewTimer("workload.arrival", e.onTraceArrival)
-		e.startFn = g.eng.Bind(e.startTrace)
+		e.startFn = e.startTrace
 		ep.Fwd.OnSendComplete = e.onOpenFlowDone
 	}
 	g.eps = append(g.eps, e)
@@ -172,24 +169,13 @@ func (g *Generator) Add(ep Endpoint) error {
 // exactly: the same "conn.start" events at the same times in the same
 // order.
 func (g *Generator) Launch(warmup sim.Time) {
-	g.assignTraceOnce()
+	if g.spec.Kind == Trace {
+		g.traceSkipped = assignTrace(g.trace, g.eps)
+	}
 	n := len(g.eps)
 	for i, e := range g.eps {
 		g.launchOne(e, launchAt(warmup, i, n))
 	}
-}
-
-// assignTraceOnce distributes the trace's events over the endpoint
-// roster (Trace kind only). It runs once: from Launch on a cold start,
-// or from SetState on a restore — a restored machine is never launched
-// (its timers ride the engine snapshot), but the replay cursor still
-// needs the assigned rows to index into.
-func (g *Generator) assignTraceOnce() {
-	if g.spec.Kind != Trace || g.traceDone {
-		return
-	}
-	g.traceDone = true
-	g.traceSkipped = assignTrace(g.trace, g.eps)
 }
 
 // TraceSkipped returns how many trace events had no matching endpoint
@@ -211,15 +197,15 @@ func launchAt(warmup sim.Time, i, n int) sim.Time {
 func (g *Generator) launchOne(e *endpoint, at sim.Time) {
 	switch g.spec.Kind {
 	case Bulk:
-		g.eng.AtFn(at, "conn.start", e.startFn)
+		g.eng.At(at, "conn.start", e.startFn)
 	case RequestResponse:
-		g.eng.AtFn(at, "workload.issue", e.startFn)
+		g.eng.At(at, "workload.issue", e.startFn)
 	case Churn:
-		g.eng.AtFn(at, "workload.flow", e.startFn)
+		g.eng.At(at, "workload.flow", e.startFn)
 	case Burst:
-		g.eng.AtFn(at, "conn.start", e.startFn)
+		g.eng.At(at, "conn.start", e.startFn)
 	case Poisson, Pareto, Trace:
-		g.eng.AtFn(at, "workload.arrival", e.startFn)
+		g.eng.At(at, "workload.arrival", e.startFn)
 	}
 }
 

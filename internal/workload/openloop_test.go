@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -281,133 +280,5 @@ func TestTraceReplay(t *testing.T) {
 	}
 	if _, err := NewGenerator(eng, Spec{Kind: Trace, TracePath: MemPrefix + "nope"}.Resolved(true, false)); err == nil {
 		t.Fatal("unknown mem trace accepted")
-	}
-}
-
-// wireRig is an open-loop generator driving one loopback connection
-// whose in-flight segments ride engine-bound callbacks, so the whole rig
-// checkpoints: engine, connection, generator and both wire queues.
-type wireRig struct {
-	eng        *sim.Engine
-	conn       *transport.Conn
-	g          *Generator
-	data, acks sim.FIFO[*transport.Segment]
-}
-
-// rigImage is a wireRig checkpoint.
-type rigImage struct {
-	eng        sim.EngineState
-	conn       transport.ConnState
-	gen        GeneratorState
-	data, acks [][]byte
-}
-
-func newWireRig(t *testing.T, spec Spec) *wireRig {
-	t.Helper()
-	r := &wireRig{eng: sim.New()}
-	r.conn = transport.NewConn(r.eng, 0, transport.DefaultSegSize, 32)
-	dataFn := r.eng.Bind(func() { transport.Dispatch(r.data.Pop()) })
-	ackFn := r.eng.Bind(func() { transport.Dispatch(r.acks.Pop()) })
-	r.conn.AttachSender(func(s *transport.Segment) {
-		r.data.Push(s)
-		r.eng.AfterFn(10*sim.Microsecond, "wire.data", dataFn)
-	})
-	r.conn.AttachReceiver(func(s *transport.Segment) {
-		r.acks.Push(s)
-		r.eng.AfterFn(10*sim.Microsecond, "wire.ack", ackFn)
-	})
-	var err error
-	if r.g, err = NewGenerator(r.eng, spec); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.g.Add(Endpoint{Fwd: r.conn}); err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
-
-func encodeSegs(q *sim.FIFO[*transport.Segment]) [][]byte {
-	out := make([][]byte, q.Len())
-	for i := range out {
-		out[i] = transport.EncodeSegment(q.At(i), 0)
-	}
-	return out
-}
-
-func (r *wireRig) decodeSegs(t *testing.T, q *sim.FIFO[*transport.Segment], imgs [][]byte) {
-	t.Helper()
-	for _, b := range imgs {
-		_, s, err := transport.DecodeSegment(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Conn = r.conn
-		q.Push(s)
-	}
-}
-
-func (r *wireRig) snapshot(t *testing.T) rigImage {
-	t.Helper()
-	es, err := r.eng.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rigImage{eng: es, conn: r.conn.State(), gen: r.g.State(),
-		data: encodeSegs(&r.data), acks: encodeSegs(&r.acks)}
-}
-
-func (r *wireRig) restore(t *testing.T, img rigImage) {
-	t.Helper()
-	r.conn.SetState(img.conn)
-	if err := r.g.SetState(img.gen); err != nil {
-		t.Fatal(err)
-	}
-	r.decodeSegs(t, &r.data, img.data)
-	r.decodeSegs(t, &r.acks, img.acks)
-	if err := r.eng.Restore(img.eng); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestOpenLoopSnapshotRoundTrip checkpoints an overloaded endpoint
-// mid-backlog, restores it into a freshly built rig, and runs both on:
-// the resumed run's flows, arrivals and latency samples must equal the
-// uninterrupted run's.
-func TestOpenLoopSnapshotRoundTrip(t *testing.T) {
-	spec := Spec{Kind: Poisson, FlowRate: 50000, SizeDist: SizeWebSearch}.Resolved(true, false)
-	cold := newWireRig(t, spec)
-	cold.g.Launch(10 * sim.Millisecond)
-	cold.eng.Run(50 * sim.Millisecond) // overload: backlog is non-empty
-	img := cold.snapshot(t)
-	if len(img.gen.Endpoints) != 1 || img.gen.Endpoints[0].Pending == 0 {
-		t.Fatalf("expected a waiting backlog in the image: %+v", img.gen.Endpoints)
-	}
-	resumed := newWireRig(t, spec)
-	resumed.restore(t, img)
-	if got := resumed.g.State(); !reflect.DeepEqual(got, img.gen) {
-		t.Fatalf("state round-trip differs:\n got %+v\nwant %+v", got, img.gen)
-	}
-
-	const end = 150 * sim.Millisecond
-	cold.eng.Run(end)
-	resumed.eng.Run(end)
-	a, b := cold.g, resumed.g
-	if a.Flows.Total() <= uint64(img.gen.Flows.Total) {
-		t.Fatal("no flows completed after the checkpoint")
-	}
-	if a.Flows.Total() != b.Flows.Total() || a.Arrivals.Total() != b.Arrivals.Total() {
-		t.Fatalf("resumed run diverged: flows %d/%d arrivals %d/%d",
-			b.Flows.Total(), a.Flows.Total(), b.Arrivals.Total(), a.Arrivals.Total())
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		if x, y := a.Latency.Quantile(q), b.Latency.Quantile(q); x != y {
-			t.Fatalf("latency p%.0f: resumed %v, uninterrupted %v", q*100, y, x)
-		}
-	}
-	if !reflect.DeepEqual(a.State(), b.State()) {
-		t.Fatal("resumed generator state differs from the uninterrupted run's")
-	}
-	if err := b.SetState(GeneratorState{}); err == nil {
-		t.Fatal("roster mismatch accepted")
 	}
 }

@@ -76,14 +76,8 @@ type Hypervisor struct {
 	domains   []*Domain
 	nextDomID mem.DomID
 
-	// channels and decoders are append-only creation rosters; like the
-	// bind registry, ordinal position is the checkpoint identity of a
-	// channel or decoder, stable because construction is deterministic.
-	channels []*EventChannel
-	decoders []*BitVecDecoder
-
 	pendFaults sim.FIFO[faultOp]
-	faultFn    sim.Fn
+	faultFn    func()
 
 	PhysIRQs stats.Counter // physical interrupts fielded
 	Faults   stats.Counter // CDNA protection faults handled
@@ -93,7 +87,7 @@ type Hypervisor struct {
 // mode configures the CDNA engine; pure Xen setups simply never use it.
 func New(eng *sim.Engine, c *cpu.CPU, m *mem.Memory, p Params, mode core.Mode) *Hypervisor {
 	h := &Hypervisor{Eng: eng, CPU: c, Mem: m, Params: p, nextDomID: mem.Dom0}
-	h.faultFn = eng.Bind(h.serviceFault)
+	h.faultFn = h.serviceFault
 	h.Prot = core.NewProtection(m, mode)
 	h.CtxMgr = core.NewContextManager(h.Prot)
 	return h
@@ -128,7 +122,7 @@ func (h *Hypervisor) Domains() []*Domain { return h.domains }
 // The hc: flight-recorder prefix is only rendered when someone is
 // recording, keeping the per-hypercall path allocation-free (the same
 // convention internal/cpu uses for task names).
-func (d *Domain) Hypercall(extra sim.Time, name string, fn sim.Fn) {
+func (d *Domain) Hypercall(extra sim.Time, name string, fn func()) {
 	if d.hyp.Eng.Traced() {
 		name = "hc:" + name
 	}
@@ -147,8 +141,8 @@ type EventChannel struct {
 
 	// Delivery/send callbacks and the rendered virq event name, built
 	// once at NewChannel so Notify allocates nothing per interrupt.
-	deliverFn sim.Fn
-	notifyFn  sim.Fn
+	deliverFn func()
+	notifyFn  func()
 	virqName  string
 
 	Notifies stats.Counter // send attempts
@@ -158,9 +152,8 @@ type EventChannel struct {
 // NewChannel creates an event channel delivering to handler in target.
 func (h *Hypervisor) NewChannel(target *Domain, name string, handler func()) *EventChannel {
 	ch := &EventChannel{Name: name, target: target, handler: handler, virqName: "virq:" + name}
-	ch.deliverFn = h.Eng.Bind(ch.deliver)
-	ch.notifyFn = h.Eng.Bind(ch.Notify)
-	h.channels = append(h.channels, ch)
+	ch.deliverFn = ch.deliver
+	ch.notifyFn = ch.Notify
 	return ch
 }
 
@@ -195,13 +188,13 @@ func (ch *EventChannel) NotifyFromGuest(sender *Domain) {
 type IRQLine struct {
 	Name    string
 	hyp     *Hypervisor
-	handler sim.Fn // runs in ISR (hypervisor) context
+	handler func() // runs in ISR (hypervisor) context
 }
 
 // NewIRQ allocates an interrupt line whose handler runs in the
 // hypervisor's ISR context.
 func (h *Hypervisor) NewIRQ(name string, handler func()) *IRQLine {
-	return &IRQLine{Name: "irq:" + name, hyp: h, handler: h.Eng.Bind(handler)}
+	return &IRQLine{Name: "irq:" + name, hyp: h, handler: handler}
 }
 
 // Raise fields the physical interrupt: the hypervisor's ISR runs at the
@@ -219,9 +212,9 @@ func (l *IRQLine) Raise() {
 func (h *Hypervisor) StartTimers() {
 	var tm *sim.Timer
 	tm = h.Eng.NewTimer("timer.tick", func() {
-		h.CPU.ExecISR(h.Params.TickISR, "timer", sim.Fn{})
+		h.CPU.ExecISR(h.Params.TickISR, "timer", nil)
 		for _, d := range h.domains {
-			d.VCPU.Exec(cpu.CatKernel, h.Params.TickCost, "tick", sim.Fn{})
+			d.VCPU.Exec(cpu.CatKernel, h.Params.TickCost, "tick", nil)
 		}
 		tm.ArmAfter(h.Params.TickPeriod)
 	})
@@ -234,8 +227,8 @@ func (h *Hypervisor) StartTimers() {
 // descriptor batch (§3.3): it scales with the number of descriptors and
 // the pages they span. The guest driver issues the hypercall itself —
 // d.Hypercall(cost, "cdna_enqueue", fn) with its own bound callback —
-// so the pending operation lives in the driver's snapshotable queue
-// instead of a captured closure.
+// so the pending operation lives in the driver's queue instead of a
+// captured closure.
 func (d *Domain) CDNAEnqueueCost(descs []ring.Desc) sim.Time {
 	pages := 0
 	for _, desc := range descs {
@@ -255,8 +248,8 @@ func (d *Domain) CDNAValidate(r *ring.Ring, descs []ring.Desc) (int, error) {
 // for one NIC: drain the bit-vector queue, then notify the event channel
 // of every context with a set bit. The per-context decode cost is
 // charged as additional ISR work; the drained masks await that charged
-// decode in a queue rather than a captured closure, so in-flight
-// interrupts checkpoint cleanly.
+// decode in a queue rather than a captured closure, so the interrupt
+// path allocates nothing.
 //
 // channels is indexed by context ID (nil entries are contexts without a
 // registered channel). A dense slice instead of a map keeps delivery
@@ -270,15 +263,14 @@ type BitVecDecoder struct {
 	q        *core.BitVectorQueue
 	channels []*EventChannel
 	pend     sim.FIFO[uint32] // drained masks awaiting the charged decode
-	decodeFn sim.Fn
+	decodeFn func()
 }
 
 // NewBitVecDecoder creates the ISR-side decoder for one NIC's
 // bit-vector queue.
 func (h *Hypervisor) NewBitVecDecoder(q *core.BitVectorQueue, channels []*EventChannel) *BitVecDecoder {
 	d := &BitVecDecoder{hyp: h, q: q, channels: channels}
-	d.decodeFn = h.Eng.Bind(d.decode)
-	h.decoders = append(h.decoders, d)
+	d.decodeFn = d.decode
 	return d
 }
 
@@ -313,7 +305,7 @@ func (d *BitVecDecoder) decode() {
 // ContextManager (contexts are per-device); pass the manager for the
 // faulting NIC — or nil to use the hypervisor's default manager. Faults
 // awaiting service queue on the hypervisor (they only occur in attack
-// scenarios; a checkpoint with one outstanding is refused).
+// scenarios).
 func (h *Hypervisor) HandleFault(cm *core.ContextManager, f *core.Fault) {
 	if cm == nil {
 		cm = h.CtxMgr

@@ -37,7 +37,7 @@ func TestHypercallChargedToHypervisor(t *testing.T) {
 	g := h.NewDomain("g", cpu.KindGuest)
 	h.CPU.StartWindow()
 	ran := false
-	g.Hypercall(sim.Microsecond, "test", sim.RawFn(func() { ran = true }))
+	g.Hypercall(sim.Microsecond, "test", func() { ran = true })
 	eng.Run(sim.Millisecond)
 	h.CPU.EndWindow()
 	if !ran {
@@ -85,9 +85,9 @@ func TestNotifyFromGuestChargesSender(t *testing.T) {
 	d0 := h.NewDomain("driver", cpu.KindDriver)
 	ch := h.NewChannel(d0, "back", func() {})
 	h.CPU.StartWindow()
-	g.VCPU.Exec(cpu.CatKernel, sim.Microsecond, "work", sim.RawFn(func() {
+	g.VCPU.Exec(cpu.CatKernel, sim.Microsecond, "work", func() {
 		ch.NotifyFromGuest(g)
-	}))
+	})
 	eng.Run(sim.Millisecond)
 	h.CPU.EndWindow()
 	p := h.CPU.Profile()
@@ -139,9 +139,9 @@ func TestCDNAEnqueueHypercall(t *testing.T) {
 	descs := []ring.Desc{{Addr: buf.Base(), Len: 1514}}
 	var gotN int
 	var gotErr error
-	g.Hypercall(g.CDNAEnqueueCost(descs), "cdna_enqueue", sim.RawFn(func() {
+	g.Hypercall(g.CDNAEnqueueCost(descs), "cdna_enqueue", func() {
 		gotN, gotErr = g.CDNAValidate(r, descs)
-	}))
+	})
 	eng.Run(sim.Millisecond)
 	if gotErr != nil || gotN != 1 {
 		t.Fatalf("enqueue = %d, %v", gotN, gotErr)
@@ -161,9 +161,9 @@ func TestCDNAEnqueueRejectsForeign(t *testing.T) {
 	buf := h.Mem.AllocOne(victim.ID)
 	descs := []ring.Desc{{Addr: buf.Base(), Len: 1514}}
 	var gotErr error
-	g.Hypercall(g.CDNAEnqueueCost(descs), "cdna_enqueue", sim.RawFn(func() {
+	g.Hypercall(g.CDNAEnqueueCost(descs), "cdna_enqueue", func() {
 		_, gotErr = g.CDNAValidate(r, descs)
-	}))
+	})
 	eng.Run(sim.Millisecond)
 	if gotErr != core.ErrForeignMemory {
 		t.Fatalf("err = %v, want ErrForeignMemory", gotErr)
