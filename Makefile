@@ -100,15 +100,10 @@ paper:
 	$(GO) run ./cmd/cdnasweep -preset paper -json results.json -csv results.csv
 
 # bench measures the simulator itself (event-core micro-benchmarks +
-# one end-to-end run) and records the perf trajectory in BENCH_sim.json.
-# It runs twice — once with the reference heap queue (-tags simheap),
-# once with the default hybrid near/far scheduler — so the committed
-# artifact carries the hybrid vs. heap rows side by side. See
-# EXPERIMENTS.md.
+# end-to-end runs) and records the perf trajectory in BENCH_sim.json.
+# See EXPERIMENTS.md.
 bench:
-	$(GO) run -tags simheap ./cmd/cdnabench -out BENCH_heap.tmp.json
-	$(GO) run ./cmd/cdnabench -ref BENCH_heap.tmp.json -out BENCH_sim.json
-	rm -f BENCH_heap.tmp.json
+	$(GO) run ./cmd/cdnabench -out BENCH_sim.json
 
 # bench-check is the perf-regression gate: a short re-measurement
 # compared against the committed BENCH_sim.json, failing on any
@@ -133,4 +128,4 @@ pprof:
 	@echo "profiles written: prof/cpu.out prof/allocs.out"
 
 clean:
-	rm -f results.json results.csv BENCH_sim.json BENCH_heap.tmp.json
+	rm -f results.json results.csv BENCH_sim.json

@@ -2,9 +2,8 @@
 // foundation-layer event core, the model-layer hot paths and whole
 // end-to-end experiments — and writes the result as JSON, so the
 // repository's perf trajectory is a committed artifact rather than
-// folklore. `make bench` runs it (for both queue implementations) and
-// emits BENCH_sim.json; `make bench-check` replays a short run and
-// fails on regression.
+// folklore. `make bench` runs it and emits BENCH_sim.json; `make
+// bench-check` replays a short run and fails on regression.
 //
 // Usage:
 //
@@ -12,8 +11,6 @@
 //	cdnabench -out BENCH_sim.json # write to a file
 //	cdnabench -benchtime 2s       # longer micro-benchmark windows
 //	cdnabench -short              # quick windows (CI's bench-check)
-//	cdnabench -ref heap.json      # embed another run's rows as the
-//	                              # reference block (wheel vs heap)
 //	cdnabench -compare old.json   # diff this run against a committed
 //	                              # BENCH_sim.json; exit 1 when any
 //	                              # ns/event metric regressed >15%
@@ -22,11 +19,6 @@
 //	cdnabench -tol 10             # tighten the regression tolerance (%)
 //	cdnabench -run 'model\.'      # measure only matching rows (local
 //	                              # iteration; skipped rows report zero)
-//
-// The binary reports which event queue it was compiled with
-// ("scheduler": wheel by default, heap under -tags simheap); the
-// committed artifact carries the heap build's rows in "reference" so
-// the wheel-vs-heap comparison travels with the repo.
 //
 // The seed_baseline block records the pre-refactor engine (heap
 // allocation per event through container/heap) measured on the same
@@ -52,7 +44,6 @@ import (
 	"cdna/internal/core/corebench"
 	"cdna/internal/ether/etherbench"
 	"cdna/internal/nic/nicbench"
-	"cdna/internal/sim"
 	"cdna/internal/sim/simbench"
 	"cdna/internal/topo"
 	"cdna/internal/topo/topobench"
@@ -138,10 +129,6 @@ type Report struct {
 	// GOMAXPROCS records the core count of the measuring machine.
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 
-	// Scheduler is the compiled-in event queue: "wheel" (default) or
-	// "heap" (-tags simheap).
-	Scheduler string `json:"scheduler"`
-
 	Engine EngineRows `json:"engine"`
 
 	// Model holds the model-layer rows (see ModelRows).
@@ -176,11 +163,6 @@ type Report struct {
 	// fabric row above.
 	OpenLoop EndToEnd `json:"open_loop_end_to_end"`
 
-	// Reference carries another build's rows for side-by-side reading —
-	// `make bench` embeds the heap build's measurement here, so the
-	// committed artifact always shows wheel vs. heap.
-	Reference *Reference `json:"reference,omitempty"`
-
 	// The seed engine measured immediately before the zero-allocation
 	// refactor (BenchmarkBaselineScheduleFire on the reference builder:
 	// Xeon @2.70GHz, go1.24): 81.5 ns/event, 1 alloc/64 B per event.
@@ -205,18 +187,6 @@ type EndToEnd struct {
 	WallSpreadPct float64 `json:"wall_spread_pct,omitempty"`
 }
 
-// Reference is an embedded secondary measurement (see Report.Reference).
-type Reference struct {
-	Scheduler       string     `json:"scheduler"`
-	Engine          EngineRows `json:"engine"`
-	Model           ModelRows  `json:"model"`
-	Fabric          Row        `json:"fabric_forward"`
-	EndToEnd        EndToEnd   `json:"end_to_end"`
-	MultiHost       EndToEnd   `json:"multi_host_end_to_end"`
-	FabricLeafSpine EndToEnd   `json:"fabric_leafspine_end_to_end"`
-	OpenLoop        EndToEnd   `json:"open_loop_end_to_end"`
-}
-
 func measure(benchtime time.Duration, match func(string) bool) (*Report, error) {
 	if f := flag.Lookup("test.benchtime"); f != nil {
 		if err := f.Value.Set(benchtime.String()); err != nil {
@@ -227,7 +197,6 @@ func measure(benchtime time.Duration, match func(string) bool) (*Report, error) 
 	rep.GoVersion = runtime.Version()
 	rep.GOARCH = runtime.GOARCH
 	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	rep.Scheduler = sim.SchedulerName
 
 	// Micro rows are the median of five windows, like the end-to-end
 	// rows below: on a shared or frequency-scaled machine a single
@@ -410,8 +379,7 @@ func effectiveTol(tol float64, old, cur metric) float64 {
 // (the -tol floor widened by the row's recorded measurement spread —
 // see effectiveTol), or any engine benchmark started allocating.
 func compare(old, cur *Report, tol float64) (failed bool) {
-	fmt.Printf("comparing against committed baseline (%s scheduler, %s):\n",
-		old.Scheduler, old.GoVersion)
+	fmt.Printf("comparing against committed baseline (%s):\n", old.GoVersion)
 	fmt.Printf("  %-30s %12s %12s %9s\n", "metric", "old ns/ev", "new ns/ev", "delta")
 	om, cm := metrics(old), metrics(cur)
 	for i, o := range om {
@@ -464,7 +432,6 @@ func main() {
 	out := flag.String("out", "", "write JSON here (default stdout)")
 	benchtime := flag.Duration("benchtime", time.Second, "per-micro-benchmark measurement time")
 	short := flag.Bool("short", false, "quick measurement windows (CI bench-check)")
-	refPath := flag.String("ref", "", "embed this report's rows as the reference block")
 	comparePath := flag.String("compare", "", "diff against this BENCH_sim.json; exit 1 on regression")
 	withPath := flag.String("with", "", "with -compare: diff this file instead of measuring")
 	tol := flag.Float64("tol", 15, "regression tolerance on ns/event metrics, percent")
@@ -498,18 +465,6 @@ func main() {
 		fatal(err)
 	}
 
-	if *refPath != "" {
-		other, err := load(*refPath)
-		if err != nil {
-			fatal(err)
-		}
-		rep.Reference = &Reference{Scheduler: other.Scheduler, Engine: other.Engine, Model: other.Model, Fabric: other.Fabric}
-		rep.Reference.EndToEnd = other.EndToEnd
-		rep.Reference.MultiHost = other.MultiHost
-		rep.Reference.FabricLeafSpine = other.FabricLeafSpine
-		rep.Reference.OpenLoop = other.OpenLoop
-	}
-
 	if *out != "" || *comparePath == "" {
 		buf, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
@@ -521,8 +476,8 @@ func main() {
 		} else if err := os.WriteFile(*out, buf, 0o644); err != nil {
 			fatal(err)
 		} else {
-			fmt.Printf("wrote %s (%s engine %.1f ns/event, %.0f events/s end-to-end, %.1fx vs seed)\n",
-				*out, rep.Scheduler, rep.Engine.ScheduleFire.NsPerEvent,
+			fmt.Printf("wrote %s (engine %.1f ns/event, %.0f events/s end-to-end, %.1fx vs seed)\n",
+				*out, rep.Engine.ScheduleFire.NsPerEvent,
 				rep.EndToEnd.EventsPerSec, rep.SpeedupVsSeed)
 		}
 	}

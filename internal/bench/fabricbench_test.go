@@ -9,9 +9,7 @@ import (
 
 // The multi-tier fabric determinism contract: leaf-spine and fat-tree
 // tables replay byte for byte (ECMP hashes only frame addresses, and
-// trunk deliveries are keyed). The CI suite re-runs these under -tags
-// simheap and -tags simwheel, extending the pins across all three
-// event-queue implementations. TestMultiGuestDoubleRunByteIdentical
+// trunk deliveries are keyed). TestMultiGuestDoubleRunByteIdentical
 // pins the same contract per configuration.
 
 // TestFabricGoldenDeterminism pins byte-identical rendered output for

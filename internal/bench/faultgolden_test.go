@@ -7,9 +7,7 @@ import (
 
 // TestFaultGoldenDeterminism pins byte-identical fault-scenario table
 // output across runs: the injection instants, the outage's drops, the
-// FDB re-learning churn, and the recovery all replay exactly. The CI
-// suite re-runs it under -tags simheap, so the pin also holds across
-// the two event-queue implementations.
+// FDB re-learning churn, and the recovery all replay exactly.
 func TestFaultGoldenDeterminism(t *testing.T) {
 	render := func() string {
 		ft, results, err := ScenarioFaults(topoOpts(), 3)

@@ -17,9 +17,7 @@ func topoOpts() Opts {
 
 // TestTopologyGoldenDeterminism pins byte-identical incast and
 // all-to-all table output across runs — the multi-host extension of
-// TestTable1GoldenDeterminism. The CI suite re-runs it under -tags
-// simheap, so the pin also holds across the two event-queue
-// implementations.
+// TestTable1GoldenDeterminism.
 func TestTopologyGoldenDeterminism(t *testing.T) {
 	render := func() string {
 		o := topoOpts()

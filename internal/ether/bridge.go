@@ -14,7 +14,7 @@ import "cdna/internal/stats"
 // ingress.
 type Bridge struct {
 	outputs []Port
-	fdb     map[MAC]int
+	fdb     map[uint64]int // keyed by MAC.key
 
 	Forwarded stats.Counter
 	Flooded   stats.Counter
@@ -31,7 +31,7 @@ type Bridge struct {
 
 // NewBridge creates an empty bridge.
 func NewBridge() *Bridge {
-	return &Bridge{fdb: make(map[MAC]int)}
+	return &Bridge{fdb: make(map[uint64]int)}
 }
 
 // AddPort attaches an output and returns its port number.
@@ -45,7 +45,7 @@ func (b *Bridge) NumPorts() int { return len(b.outputs) }
 
 // Lookup returns the learned port for a MAC, or -1.
 func (b *Bridge) Lookup(m MAC) int {
-	if p, ok := b.fdb[m]; ok {
+	if p, ok := b.fdb[m.key()]; ok {
 		return p
 	}
 	return -1
@@ -58,10 +58,14 @@ func (b *Bridge) Lookup(m MAC) int {
 // it to apply their own station-move accounting; Input's own
 // unconditional learning is unchanged and counts Moves itself.
 func (b *Bridge) Learn(m MAC, port int) int {
-	old, ok := b.fdb[m]
-	b.fdb[m] = port
+	k := m.key()
+	old, ok := b.fdb[k]
 	if !ok {
+		b.fdb[k] = port
 		return -1
+	}
+	if old != port {
+		b.fdb[k] = port
 	}
 	return old
 }
@@ -69,12 +73,13 @@ func (b *Bridge) Learn(m MAC, port int) int {
 // Unlearn removes every forwarding-database entry pointing at port and
 // returns how many were dropped. A switch uses it when a port fails:
 // stations behind the port must be re-learned (flooded to) wherever
-// they reappear.
+// they reappear. The walk is in map order, which cannot show in any
+// result: it only deletes and counts.
 func (b *Bridge) Unlearn(port int) int {
 	n := 0
-	for m, p := range b.fdb {
+	for k, p := range b.fdb {
 		if p == port {
-			delete(b.fdb, m)
+			delete(b.fdb, k)
 			n++
 		}
 	}
@@ -91,16 +96,20 @@ func (b *Bridge) Unlearn(port int) int {
 // moves ports — including one whose first appearance was on a frame the
 // bridge flooded — is therefore re-pointed by its very next frame, never
 // pinned to a stale port. The regression tests in ether_test.go hold
-// this invariant.
+// this invariant. Re-learning a source on the port it already has is a
+// lookup only; the entry is written when it is new or has moved.
 func (b *Bridge) Input(in int, f *Frame) {
 	if !f.Src.IsBroadcast() {
-		if old, ok := b.fdb[f.Src]; ok && old != in {
-			b.Moves.Inc()
+		k := f.Src.key()
+		if old, ok := b.fdb[k]; !ok || old != in {
+			if ok {
+				b.Moves.Inc()
+			}
+			b.fdb[k] = in
 		}
-		b.fdb[f.Src] = in
 	}
 	if !f.Dst.IsBroadcast() {
-		if out, ok := b.fdb[f.Dst]; ok {
+		if out, ok := b.fdb[f.Dst.key()]; ok {
 			if out != in {
 				b.Forwarded.Inc()
 				b.outputs[out].Receive(f)

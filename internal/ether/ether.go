@@ -16,6 +16,14 @@ func (m MAC) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
 }
 
+// key packs the six address bytes into the low 48 bits of a uint64,
+// losslessly: the bridge's forwarding-database key, which Go maps hash
+// on their fast 64-bit path instead of hashing a byte array.
+func (m MAC) key() uint64 {
+	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 |
+		uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
+}
+
 // Broadcast is the all-ones broadcast address.
 var Broadcast = MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 

@@ -458,3 +458,49 @@ func TestPipeWindowAndDuplex(t *testing.T) {
 		t.Fatalf("totals: frames %d dropped %d", p.Frames.Total(), p.Dropped.Total())
 	}
 }
+
+// TestBridgeFDBKeyDistinguishesEveryByte: two MACs that differ in one
+// byte, at each of the six positions, are distinct forwarding-database
+// entries, so the integer key packs the address without loss.
+func TestBridgeFDBKeyDistinguishesEveryByte(t *testing.T) {
+	base := MAC{0x02, 0x11, 0x22, 0x33, 0x44, 0x55}
+	for pos := 0; pos < 6; pos++ {
+		other := base
+		other[pos] ^= 0x80 // the group bit (0x01 of byte 0) stays clear
+		b := NewBridge()
+		b.AddPort(PortFunc(func(*Frame) {}))
+		b.AddPort(PortFunc(func(*Frame) {}))
+		b.Learn(base, 0)
+		if old := b.Learn(other, 1); old != -1 {
+			t.Fatalf("byte %d: %s collides with %s (Learn returned %d)", pos, other, base, old)
+		}
+		if b.Lookup(base) != 0 || b.Lookup(other) != 1 {
+			t.Fatalf("byte %d: Lookup(%s) = %d, Lookup(%s) = %d, want 0 and 1",
+				pos, base, b.Lookup(base), other, b.Lookup(other))
+		}
+	}
+}
+
+// TestBridgeMovesCountOnlyRealMoves: repeated frames from one station
+// on one port are not moves; a change of port is exactly one.
+func TestBridgeMovesCountOnlyRealMoves(t *testing.T) {
+	b := NewBridge()
+	b.AddPort(PortFunc(func(*Frame) {}))
+	b.AddPort(PortFunc(func(*Frame) {}))
+	src := MakeMAC(3, 1)
+	for i := 0; i < 5; i++ {
+		b.Input(0, &Frame{Src: src, Dst: Broadcast, Size: 60})
+	}
+	if b.Moves.Total() != 0 {
+		t.Fatalf("Moves = %d after repeated frames on one port, want 0", b.Moves.Total())
+	}
+	for i := 0; i < 3; i++ {
+		b.Input(1, &Frame{Src: src, Dst: Broadcast, Size: 60})
+	}
+	if b.Moves.Total() != 1 || b.Lookup(src) != 1 {
+		t.Fatalf("after one move: Moves = %d, Lookup = %d, want 1 and 1", b.Moves.Total(), b.Lookup(src))
+	}
+	if old := b.Learn(src, 1); old != 1 || b.Moves.Total() != 1 {
+		t.Fatalf("same-port Learn returned %d with Moves %d, want 1 and 1", old, b.Moves.Total())
+	}
+}

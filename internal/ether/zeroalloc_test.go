@@ -38,3 +38,28 @@ func TestPipeSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("arena missed its free list in steady state: News %d -> %d", news, a.News)
 	}
 }
+
+// A learned station's unicast frame through the bridge allocates
+// nothing: the source re-learn is a lookup and forwarding is a map hit.
+func TestBridgeInputSteadyStateZeroAlloc(t *testing.T) {
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates")
+	}
+	a := ether.NewArena()
+	b := ether.NewBridge()
+	sink := ether.PortFunc(func(f *ether.Frame) { f.Release() })
+	b.AddPort(sink)
+	b.AddPort(sink)
+	src, dst := ether.MakeMAC(1, 0), ether.MakeMAC(2, 0)
+	b.Input(1, a.Get(dst, src, 60, nil))
+	b.Input(0, a.Get(src, dst, 1514, nil))
+
+	if n := testing.AllocsPerRun(200, func() {
+		b.Input(0, a.Get(src, dst, 1514, nil))
+	}); n != 0 {
+		t.Fatalf("steady-state bridge input allocates %.1f/op, want 0", n)
+	}
+	if b.Forwarded.Total() == 0 {
+		t.Fatal("frames were not forwarded by unicast")
+	}
+}

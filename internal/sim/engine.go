@@ -12,9 +12,7 @@
 // repeatedly use a Timer — one persistent event re-armed in place —
 // instead of scheduling fresh events. The event queue is a hierarchical
 // timing wheel (sched_wheel.go) with O(1) amortized schedule, cancel
-// and same-timestamp batch dispatch; the PR 2 binary heap remains the
-// build-selectable reference implementation (-tags simheap). See
-// DESIGN.md ("Foundation").
+// and same-timestamp batch dispatch. See DESIGN.md ("Foundation").
 package sim
 
 import "fmt"
@@ -57,9 +55,9 @@ type Event struct {
 	name  string
 	fn    func()
 	eng   *Engine
-	next  *Event // intrusive wheel-slot list links (nil when unqueued
-	prev  *Event // or when queued in the reference heap)
-	index int32  // queue position: heap index or wheel slot; -1 when not queued
+	next  *Event // intrusive wheel-slot list links (nil when unqueued)
+	prev  *Event
+	index int32  // wheel slot (or overflowIdx); -1 when not queued
 	gen   uint32 // bumped on every recycle; stale Handles mismatch
 	timer bool   // owned by a Timer, never returned to the pool
 }
@@ -110,7 +108,7 @@ type Engine struct {
 	running bool
 	fired   uint64
 	tracer  *Tracer
-	q       queueImpl // the event queue; concrete type, see sched_select_*.go
+	q       wheelSched // the event queue
 }
 
 // New returns an Engine with the clock at zero and the finest (1 ns)
@@ -126,8 +124,7 @@ func New() *Engine { return NewWithResolution(1) }
 // the radix distance long-range timers (retransmit timeouts, ticks)
 // travel through the wheel — and never affects simulated results:
 // events bucketed into one slot still fire in exact (time, sequence)
-// order, so any resolution produces byte-identical output. (The
-// reference heap ignores it.)
+// order, so any resolution produces byte-identical output.
 func NewWithResolution(res Time) *Engine {
 	e := &Engine{}
 	e.q.init(granularityShift(res))

@@ -258,7 +258,7 @@ func TestPendingCountsTimers(t *testing.T) {
 	}
 }
 
-// Heap stress: interleaved schedules, cancels, and timer re-arms must
+// Queue stress: interleaved schedules, cancels, and timer re-arms must
 // preserve (time, seq) execution order exactly.
 func TestHeapStressWithCancels(t *testing.T) {
 	e := New()

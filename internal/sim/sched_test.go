@@ -1,26 +1,173 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strconv"
 	"testing"
 )
 
-// --- Randomized differential test: the timing wheel and the hybrid
-// near/far queue must replay any schedule / fire / cancel / timer-re-arm
-// sequence in exactly the order the reference heap produces. This is the
-// equivalence proof behind swapping the engine's queue implementation:
-// a three-way heap-vs-wheel-vs-hybrid replay. ---
+// --- The ordering oracle: every operation on the timing wheel is
+// mirrored on a plain slice kept sorted by (at, seq), and every peek,
+// pop and popAt must agree event for event. The oracle shares nothing
+// with the wheel (no levels, slots, cascades or overflow list), so
+// agreement is an independent check of the engine's (time, sequence)
+// order. ---
 
-// schedEvent is one logical event mirrored across every queue: evs[i]
-// is its copy in the i'th implementation (heap first — the oracle).
-type schedEvent struct {
-	id  int
-	evs []*Event
+// oracle is the test-only reference queue: a slice sorted by (at, seq),
+// with binary-search insert and linear delete.
+type oracle []*Event
+
+func cmpEvent(a, b *Event) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
+func (o *oracle) push(ev *Event) {
+	i, _ := slices.BinarySearchFunc(*o, ev, cmpEvent)
+	*o = slices.Insert(*o, i, ev)
+}
+
+func (o *oracle) remove(ev *Event) {
+	i := slices.Index(*o, ev)
+	*o = slices.Delete(*o, i, i+1)
+}
+
+func (o oracle) peek() *Event {
+	if len(o) == 0 {
+		return nil
+	}
+	return o[0]
+}
+
+// mirrored drives a wheelSched and the oracle through the same
+// operations. Each logical event has one copy per queue, wev[id] and
+// oev[id]; live lists the ids still queued.
+type mirrored struct {
+	t        *testing.T
+	w        wheelSched
+	o        oracle
+	seq      uint64
+	now      Time
+	wev, oev []*Event
+	live     []int
+}
+
+func newMirrored(t *testing.T, gshift uint) *mirrored {
+	m := &mirrored{t: t}
+	m.w.init(gshift)
+	return m
+}
+
+// push schedules a new event at at and returns its id.
+func (m *mirrored) push(at Time) int {
+	id := len(m.wev)
+	m.seq++
+	name := strconv.Itoa(id)
+	w := &Event{at: at, seq: m.seq, name: name, index: -1}
+	o := &Event{at: at, seq: m.seq, name: name}
+	m.w.push(w)
+	m.o.push(o)
+	m.wev, m.oev = append(m.wev, w), append(m.oev, o)
+	m.live = append(m.live, id)
+	return id
+}
+
+// same fails the test unless the wheel's w and the oracle's o are the
+// same logical event (or both nil).
+func (m *mirrored) same(op string, w, o *Event) {
+	m.t.Helper()
+	switch {
+	case (w == nil) != (o == nil):
+		m.t.Fatalf("%s: wheel %v vs oracle %v (wheel len %d, oracle len %d)", op, w, o, m.w.len(), len(m.o))
+	case w != nil && (w.at != o.at || w.seq != o.seq || w.name != o.name):
+		m.t.Fatalf("%s: wheel (%d,%d,%s) != oracle (%d,%d,%s)", op, w.at, w.seq, w.name, o.at, o.seq, o.name)
+	}
+	if m.w.len() != len(m.o) {
+		m.t.Fatalf("%s: wheel len %d, oracle len %d", op, m.w.len(), len(m.o))
+	}
+}
+
+func (m *mirrored) dead(ev *Event) {
+	id, _ := strconv.Atoi(ev.name)
+	m.live = slices.DeleteFunc(m.live, func(v int) bool { return v == id })
+}
+
+// pop fires the minimum in both queues and returns its timestamp; false
+// when both are empty.
+func (m *mirrored) pop(op string) (Time, bool) {
+	m.t.Helper()
+	w, o := m.w.peek(), m.o.peek()
+	m.same(op, w, o)
+	if w == nil {
+		return 0, false
+	}
+	m.w.pop(w)
+	m.o.remove(o)
+	m.now = w.at
+	m.dead(w)
+	return w.at, true
+}
+
+// drainAt pops every remaining event at the current instant through
+// popAt, the engine's same-timestamp batch path.
+func (m *mirrored) drainAt() {
+	m.t.Helper()
+	for {
+		w := m.w.popAt(m.now)
+		var o *Event
+		if p := m.o.peek(); p != nil && p.at == m.now {
+			o = p
+			m.o.remove(o)
+		}
+		m.same(fmt.Sprintf("popAt(%d)", m.now), w, o)
+		if w == nil {
+			return
+		}
+		m.dead(w)
+	}
+}
+
+func (m *mirrored) cancel(id int) {
+	m.w.remove(m.wev[id])
+	m.o.remove(m.oev[id])
+	m.live = slices.DeleteFunc(m.live, func(v int) bool { return v == id })
+}
+
+// rearm re-keys a queued event to at with a fresh sequence number, the
+// way Timer.Arm does.
+func (m *mirrored) rearm(id int, at Time) {
+	m.seq++
+	w, o := m.wev[id], m.oev[id]
+	w.at, w.seq = at, m.seq
+	m.w.reschedule(w)
+	m.o.remove(o)
+	o.at, o.seq = at, m.seq
+	m.o.push(o)
+}
+
+// drain fires everything left and returns the firing times.
+func (m *mirrored) drain() []Time {
+	m.t.Helper()
+	var got []Time
+	for {
+		at, ok := m.pop("drain")
+		if !ok {
+			return got
+		}
+		got = append(got, at)
+	}
+}
+
+var testShifts = []uint{0, 5, 12}
+
+// TestSchedulerDifferential replays a randomized schedule / fire /
+// batch-drain / cancel / re-arm sequence on the wheel and the oracle.
 func TestSchedulerDifferential(t *testing.T) {
-	for _, gshift := range []uint{0, 5, 12} {
-		gshift := gshift
+	for _, gshift := range testShifts {
 		t.Run(fmt.Sprintf("gshift=%d", gshift), func(t *testing.T) {
 			testSchedulerDifferential(t, gshift)
 		})
@@ -29,12 +176,7 @@ func TestSchedulerDifferential(t *testing.T) {
 
 func testSchedulerDifferential(t *testing.T, gshift uint) {
 	rng := NewRNG(20260729 + uint64(gshift))
-	impls := []scheduler{&heapSched{}, &wheelSched{}, &hybridSched{}}
-	names := []string{"heap", "wheel", "hybrid"}
-	h := impls[0]
-	for _, q := range impls {
-		q.init(gshift)
-	}
+	m := newMirrored(t, gshift)
 
 	// Delay mix spanning every wheel level plus the overflow list
 	// (64^6 ticks at gshift 0 is ~68.7 simulated seconds).
@@ -55,137 +197,102 @@ func testSchedulerDifferential(t *testing.T, gshift uint) {
 		}
 	}
 
-	var (
-		now  Time
-		seq  uint64
-		next int
-		live []*schedEvent
-	)
-	check := func(op string) []*Event {
-		mins := make([]*Event, len(impls))
-		for i, q := range impls {
-			mins[i] = q.peek()
-		}
-		hev := mins[0]
-		for i, ev := range mins[1:] {
-			switch {
-			case (hev == nil) != (ev == nil):
-				t.Fatalf("%s: heap peek %v vs %s peek %v (heap len %d, %s len %d)",
-					op, hev, names[i+1], ev, h.len(), names[i+1], impls[i+1].len())
-			case hev == nil:
-			case hev.at != ev.at || hev.seq != ev.seq || hev.name != ev.name:
-				t.Fatalf("%s: heap min (%d,%d,%s) != %s min (%d,%d,%s)",
-					op, hev.at, hev.seq, hev.name, names[i+1], ev.at, ev.seq, ev.name)
-			}
-		}
-		if hev == nil {
-			return nil
-		}
-		return mins
-	}
-	popMin := func(op string) bool {
-		mins := check(op)
-		if mins == nil {
-			return false
-		}
-		for i, q := range impls {
-			q.pop(mins[i])
-		}
-		now = mins[0].at
-		for i, ev := range live {
-			if ev.evs[0] == mins[0] {
-				live = append(live[:i], live[i+1:]...)
-				break
-			}
-		}
-		return true
-	}
-
 	const ops = 20000
 	for i := 0; i < ops; i++ {
 		switch rng.Intn(10) {
-		case 0, 1, 2, 3: // schedule
-			at := now + delay()
-			seq++
-			se := &schedEvent{id: next, evs: make([]*Event, len(impls))}
-			name := fmt.Sprint(next)
-			next++
-			for j, q := range impls {
-				se.evs[j] = &Event{at: at, seq: seq, name: name, index: -1}
-				q.push(se.evs[j])
+		case 0, 1, 2, 3:
+			m.push(m.now + delay())
+		case 4, 5:
+			m.pop("pop")
+		case 6:
+			if _, ok := m.pop("pop"); ok {
+				m.drainAt()
 			}
-			live = append(live, se)
-		case 4, 5: // fire
-			popMin("pop")
-		case 6: // fire + same-timestamp batch drain through popAt
-			if popMin("pop") {
-				for {
-					got := make([]*Event, len(impls))
-					for j, q := range impls {
-						got[j] = q.popAt(now)
-					}
-					hev := got[0]
-					for j, ev := range got[1:] {
-						if (hev == nil) != (ev == nil) {
-							t.Fatalf("popAt(%d): heap %v vs %s %v", now, hev, names[j+1], ev)
-						}
-						if hev != nil && (hev.at != ev.at || hev.seq != ev.seq || hev.name != ev.name) {
-							t.Fatalf("popAt(%d): heap (%d,%d,%s) != %s (%d,%d,%s)",
-								now, hev.at, hev.seq, hev.name, names[j+1], ev.at, ev.seq, ev.name)
-						}
-					}
-					if hev == nil {
-						break
-					}
-					for i, ev := range live {
-						if ev.evs[0] == hev {
-							live = append(live[:i], live[i+1:]...)
-							break
-						}
-					}
-				}
+		case 7:
+			if len(m.live) > 0 {
+				m.cancel(m.live[rng.Intn(len(m.live))])
 			}
-		case 7: // cancel
-			if len(live) > 0 {
-				j := rng.Intn(len(live))
-				se := live[j]
-				for k, q := range impls {
-					q.remove(se.evs[k])
-				}
-				live = append(live[:j], live[j+1:]...)
+		case 8:
+			if len(m.live) > 0 {
+				m.rearm(m.live[rng.Intn(len(m.live))], m.now+delay())
 			}
-		case 8: // timer re-arm: new (at, seq) re-keyed in place
-			if len(live) > 0 {
-				se := live[rng.Intn(len(live))]
-				at := now + delay()
-				seq++
-				for k, q := range impls {
-					se.evs[k].at, se.evs[k].seq = at, seq
-					q.reschedule(se.evs[k])
-				}
-			}
-		case 9: // consistency probe
-			check("probe")
-			for j, q := range impls[1:] {
-				if h.len() != q.len() {
-					t.Fatalf("len mismatch: heap %d %s %d", h.len(), names[j+1], q.len())
-				}
-			}
+		case 9:
+			m.same("probe", m.w.peek(), m.o.peek())
 		}
 	}
-	// Drain completely: the full remaining fire order must agree.
-	for popMin("drain") {
-	}
-	for j, q := range impls {
-		if q.len() != 0 {
-			t.Fatalf("%s not empty after drain: %d", names[j], q.len())
-		}
+	m.drain()
+	if m.w.len() != 0 {
+		t.Fatalf("wheel not empty after drain: %d", m.w.len())
 	}
 }
 
-// --- Wheel edge cases through the public Engine API (the default build
-// runs these on the wheel; -tags simheap runs them on the heap, where
-// they must hold just the same). ---
+// TestSchedulerOracleEdgeCases drives the wheel's structural edges at
+// each granularity and checks them against the oracle: level rollovers,
+// events beyond the wheel horizon, a cancel after a cascade, and a
+// re-arm into the slot being drained.
+func TestSchedulerOracleEdgeCases(t *testing.T) {
+	for _, gshift := range testShifts {
+		tick := Time(1) << gshift
+		t.Run(fmt.Sprintf("cascade-boundary/gshift=%d", gshift), func(t *testing.T) {
+			m := newMirrored(t, gshift)
+			for b := Time(wheelSlots); b <= wheelSlots*wheelSlots*wheelSlots; b *= wheelSlots {
+				for _, at := range []Time{b - 1, b, b + 1} {
+					m.push(at * tick)
+					m.push(at*tick + tick - 1)
+				}
+			}
+			if got := m.drain(); len(got) != 18 {
+				t.Fatalf("fired %d, want 18", len(got))
+			}
+		})
+		t.Run(fmt.Sprintf("far-future-overflow/gshift=%d", gshift), func(t *testing.T) {
+			m := newMirrored(t, gshift)
+			horizon := tick << (wheelBits * wheelLevels)
+			for _, at := range []Time{Second, horizon + Second, 2*horizon + Second, 2*horizon + Second + 1, 3 * horizon} {
+				m.push(at)
+			}
+			for i := 0; i < 50; i++ { // near traffic while the far events wait
+				m.push(m.now + 10*Millisecond)
+				m.pop("near")
+			}
+			if got := m.drain(); len(got) != 5 {
+				t.Fatalf("fired %d, want 5", len(got))
+			}
+		})
+		t.Run(fmt.Sprintf("cancel-after-cascade/gshift=%d", gshift), func(t *testing.T) {
+			// Ticks 70, 100 and 101 share level-1 slot 1; popping 70
+			// cascades the other two down to level 0.
+			m := newMirrored(t, gshift)
+			m.push(70 * tick)
+			b := m.push(100 * tick)
+			m.push(101 * tick)
+			m.pop("first")
+			if m.wev[b].index < 0 || m.wev[b].index >= wheelSlots {
+				t.Fatalf("event at tick 100 not cascaded to level 0: index %d", m.wev[b].index)
+			}
+			m.cancel(b)
+			if got := m.drain(); len(got) != 1 || got[0] != 101*tick {
+				t.Fatalf("fired %v, want [%d]", got, 101*tick)
+			}
+		})
+		t.Run(fmt.Sprintf("rearm-current-slot/gshift=%d", gshift), func(t *testing.T) {
+			m := newMirrored(t, gshift)
+			m.push(50 * tick)
+			tm := m.push(50 * tick)
+			m.push(50 * tick)
+			m.push(50*tick + 1)
+			m.pop("first")
+			m.rearm(tm, m.now) // mid-drain: behind the queued same-instant events
+			m.drainAt()
+			if got := m.drain(); len(got) != 1 {
+				t.Fatalf("fired %v after the batch, want one event", got)
+			}
+		})
+	}
+}
+
+// --- Wheel edge cases through the public Engine API, with their
+// expected firing orders written out by hand. ---
 
 // TestWheelCascadeBoundary schedules events exactly at level rollovers
 // (64^l ticks) and one tick either side: the points where an event's
@@ -365,106 +472,5 @@ func TestEngineSameTimestampBatchWithInsertions(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
-	}
-}
-
-// --- Hybrid near/far seam edge cases (driven on the concrete type so
-// they hold under any build tag). ---
-
-// TestHybridHorizonBoundary places events exactly at the near/far
-// boundary: the last tick of the wheel clock's current window is near,
-// the first tick of the next window is far, and popping across the
-// boundary promotes the new window into the run.
-func TestHybridHorizonBoundary(t *testing.T) {
-	h := &hybridSched{}
-	h.init(0)
-	mk := func(at Time, seq uint64) *Event {
-		ev := &Event{at: at, seq: seq, name: "ev", index: -1}
-		h.push(ev)
-		return ev
-	}
-	mk(0, 1)
-	last := mk(wheelSlots-1, 2) // tick 63: last near tick of window 0
-	mk(wheelSlots, 3)           // tick 64: first far tick (window 1)
-	mk(wheelSlots+1, 4)
-	if len(h.run) != 2 || h.w.len() != 2 {
-		t.Fatalf("near/far split: run %d wheel %d, want 2/2", len(h.run), h.w.len())
-	}
-	if last.index < nearBase {
-		t.Fatalf("boundary-1 event not in near run (index %d)", last.index)
-	}
-	var got []Time
-	for {
-		ev := h.peek()
-		if ev == nil {
-			break
-		}
-		h.pop(ev)
-		got = append(got, ev.at)
-		if ev.at == wheelSlots && len(h.run) != 1 {
-			// Popping into window 1 must promote tick 65 to the run.
-			t.Fatalf("after boundary pop: run %d, want 1", len(h.run))
-		}
-	}
-	want := []Time{0, wheelSlots - 1, wheelSlots, wheelSlots + 1}
-	if len(got) != len(want) {
-		t.Fatalf("popped %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("popped %v, want %v", got, want)
-		}
-	}
-}
-
-// TestHybridCancelRearmPromoted cancels and re-arms events that were
-// promoted into the near run by a cascade: membership bookkeeping must
-// track an event across far→near promotion and near↔far re-arms.
-func TestHybridCancelRearmPromoted(t *testing.T) {
-	h := &hybridSched{}
-	h.init(0)
-	a := &Event{at: 70, seq: 1, name: "a", index: -1}
-	b := &Event{at: 100, seq: 2, name: "b", index: -1}
-	c := &Event{at: 101, seq: 3, name: "c", index: -1}
-	for _, ev := range []*Event{a, b, c} {
-		h.push(ev)
-	}
-	// Ticks 70, 100, 101 are all in window 1 (far from window 0): the
-	// run starts empty.
-	if len(h.run) != 0 || h.w.len() != 3 {
-		t.Fatalf("initial split: run %d wheel %d, want 0/3", len(h.run), h.w.len())
-	}
-	if ev := h.peek(); ev != a {
-		t.Fatalf("peek %v, want a", ev)
-	}
-	h.pop(a)
-	// Popping 70 advanced the clock into window 1: 100 and 101 must now
-	// be promoted into the run.
-	if len(h.run) != 2 || h.w.len() != 0 {
-		t.Fatalf("after promote: run %d wheel %d, want 2/0", len(h.run), h.w.len())
-	}
-	if b.index < nearBase || c.index < nearBase {
-		t.Fatalf("promoted events not indexed into run: b=%d c=%d", b.index, c.index)
-	}
-	// Cancel the promoted b.
-	h.remove(b)
-	if b.index != -1 || h.len() != 1 || h.peek() != c {
-		t.Fatalf("after cancel: index=%d len=%d peek=%v", b.index, h.len(), h.peek())
-	}
-	// Re-arm c far (near→far): it must leave the run for the wheel.
-	c.at, c.seq = 200, 4
-	h.reschedule(c)
-	if len(h.run) != 0 || h.w.len() != 1 || h.peek() != c {
-		t.Fatalf("after far re-arm: run %d wheel %d peek %v", len(h.run), h.w.len(), h.peek())
-	}
-	// Re-arm c near again (far→near).
-	c.at, c.seq = 75, 5
-	h.reschedule(c)
-	if len(h.run) != 1 || h.w.len() != 0 {
-		t.Fatalf("after near re-arm: run %d wheel %d", len(h.run), h.w.len())
-	}
-	h.pop(h.peek())
-	if h.len() != 0 {
-		t.Fatalf("len %d after draining", h.len())
 	}
 }

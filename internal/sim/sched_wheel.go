@@ -166,6 +166,14 @@ func (w *wheelSched) peek() *Event {
 	return minInList(&w.over)
 }
 
+// eventLess is the engine's total order: time, then sequence.
+func eventLess(a, b *Event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
 func minInList(sent *Event) *Event {
 	best := sent.next
 	for ev := best.next; ev != sent; ev = ev.next {

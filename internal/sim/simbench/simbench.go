@@ -41,7 +41,7 @@ func ScheduleFireClosure(b *testing.B) {
 	}
 }
 
-// ScheduleFireDepth64 exercises the heap at a realistic standing depth
+// ScheduleFireDepth64 exercises the queue at a realistic standing depth
 // (a loaded machine keeps tens of events queued).
 func ScheduleFireDepth64(b *testing.B) {
 	e := sim.New()
@@ -85,8 +85,7 @@ func Cancel(b *testing.B) {
 
 // CancelHeavy measures cancellation under a standing load: 64 queued
 // events spread over the near future while one-shot events are
-// scheduled and aborted. The heap pays an O(log n) re-sift per cancel
-// here; the wheel unlinks in O(1).
+// scheduled and aborted; the wheel unlinks each in O(1).
 func CancelHeavy(b *testing.B) {
 	e := sim.New()
 	fn := func() {}
@@ -105,8 +104,8 @@ func CancelHeavy(b *testing.B) {
 // timer traffic: per-connection long-range timers re-armed ~200 ms into
 // the future on every acknowledgement and (almost) never firing. 16
 // connections keep a realistic standing population queued; each op
-// re-keys a timer far from the clock — a deep sift for the heap, an
-// O(1) radix re-file for the wheel.
+// re-keys a timer far from the clock, an O(1) radix re-file in the
+// wheel.
 func RTOChurn(b *testing.B) {
 	e := sim.New()
 	const conns = 16

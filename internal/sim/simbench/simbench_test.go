@@ -4,8 +4,7 @@ import "testing"
 
 // Standard-runner wrappers so `go test -bench` can drive the shared
 // benchmark bodies directly (cdnabench runs the same functions through
-// testing.Benchmark). Compare queue implementations with
-// `go test -bench . [-tags simwheel|simheap] ./internal/sim/simbench/`.
+// testing.Benchmark): `go test -bench . ./internal/sim/simbench/`.
 
 func BenchmarkScheduleFire(b *testing.B)        { ScheduleFire(b) }
 func BenchmarkScheduleFireClosure(b *testing.B) { ScheduleFireClosure(b) }

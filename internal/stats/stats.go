@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 
 	"cdna/internal/sim"
@@ -191,12 +190,14 @@ func (d *Distribution) Mean() float64 {
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) by nearest rank.
+// Samples are never NaN (they are non-negative measurements), so the
+// sorted order, and with it every quantile, is unique.
 func (d *Distribution) Quantile(q float64) float64 {
 	if len(d.samples) == 0 {
 		return 0
 	}
 	if !d.sorted {
-		sort.Float64s(d.samples)
+		slices.Sort(d.samples)
 		d.sorted = true
 	}
 	idx := int(q * float64(len(d.samples)-1))

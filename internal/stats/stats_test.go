@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -112,8 +113,8 @@ func TestDistribution(t *testing.T) {
 	if math.Abs(d.Mean()-50.5) > 1e-9 {
 		t.Fatalf("Mean = %v", d.Mean())
 	}
-	if q := d.Quantile(0.5); q < 49 || q > 52 {
-		t.Fatalf("median = %v", q)
+	if q := d.Quantile(0.5); q != 50 {
+		t.Fatalf("median = %v, want 50 (nearest rank int(0.5*99))", q)
 	}
 	if d.Max() != 100 {
 		t.Fatalf("Max = %v", d.Max())
@@ -122,5 +123,24 @@ func TestDistribution(t *testing.T) {
 	d.Observe(1000)
 	if d.Max() != 1000 {
 		t.Fatalf("Max after re-observe = %v", d.Max())
+	}
+
+	// Exact nearest-rank quantiles against a sorted-copy oracle, with
+	// duplicate samples, at one, two and many samples.
+	rng := sim.NewRNG(5)
+	for _, n := range []int{1, 2, 1000} {
+		var d Distribution
+		samples := make([]float64, n)
+		for i := range samples {
+			samples[i] = float64(rng.Intn(50)) / 4 // values repeat
+			d.Observe(samples[i])
+		}
+		sorted := append([]float64(nil), samples...)
+		sort.Float64s(sorted)
+		for _, q := range []float64{0, .1, .5, .9, .99, 1} {
+			if got, want := d.Quantile(q), sorted[int(q*float64(n-1))]; got != want {
+				t.Fatalf("n=%d: Quantile(%v) = %v, want %v", n, q, got, want)
+			}
+		}
 	}
 }
