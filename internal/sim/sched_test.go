@@ -248,15 +248,30 @@ func TestSchedulerOracleEdgeCases(t *testing.T) {
 		t.Run(fmt.Sprintf("far-future-overflow/gshift=%d", gshift), func(t *testing.T) {
 			m := newMirrored(t, gshift)
 			horizon := tick << (wheelBits * wheelLevels)
-			for _, at := range []Time{Second, horizon + Second, 2*horizon + Second, 2*horizon + Second + 1, 3 * horizon} {
+			far := map[Time]bool{}
+			for _, at := range []Time{Second, horizon + Second, 2*horizon + Second, 2*horizon + Second + 10*tick, 3 * horizon} {
 				m.push(at)
+				far[at] = true
 			}
 			for i := 0; i < 50; i++ { // near traffic while the far events wait
 				m.push(m.now + 10*Millisecond)
 				m.pop("near")
 			}
-			if got := m.drain(); len(got) != 5 {
-				t.Fatalf("fired %d, want 5", len(got))
+			// Each far event schedules a follower 20 ticks on: it must
+			// not overtake a far event still waiting in the same epoch.
+			fired := 0
+			for {
+				at, ok := m.pop("far")
+				if !ok {
+					break
+				}
+				fired++
+				if far[at] {
+					m.push(at + 20*tick)
+				}
+			}
+			if fired != 10 {
+				t.Fatalf("fired %d, want 10", fired)
 			}
 		})
 		t.Run(fmt.Sprintf("cancel-after-cascade/gshift=%d", gshift), func(t *testing.T) {
