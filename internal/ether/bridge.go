@@ -60,12 +60,11 @@ func (b *Bridge) Lookup(m MAC) int {
 func (b *Bridge) Learn(m MAC, port int) int {
 	k := m.key()
 	old, ok := b.fdb[k]
-	if !ok {
+	if !ok || old != port {
 		b.fdb[k] = port
-		return -1
 	}
-	if old != port {
-		b.fdb[k] = port
+	if !ok {
+		return -1
 	}
 	return old
 }
